@@ -14,10 +14,10 @@ and emits a machine-readable ``BENCH_pp.json``:
 * **degeneracy and reuse checks**: a 1-stage/1-microbatch run embeds e2e
   totals bit-identical to ``repro e2e``, plan reuse is bit-identical to
   re-tuning, and repeated runs are deterministic;
-* **replay fast path**: wall-clock speedup of the vectorized topological
-  sweep (``replay_tasks(fast=True)``) over the event-by-event reference on
-  large pipeline schedules and wide synthetic DAGs, asserting the two are
-  bit-identical.
+* **replay fast path**: wall-clock speedup of the Kahn-sweep
+  ``replay_tasks`` over the event-by-event oracle in
+  ``tests/reference/replay.py`` on large pipeline schedules and wide
+  synthetic DAGs, asserting the two are bit-identical.
 
 ``--check`` compares every ``*speedup*`` ratio against a committed baseline
 (``benchmarks/BENCH_pp_baseline.json``) and exits non-zero on a >2x
@@ -39,12 +39,14 @@ import sys
 import time
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "tests", _ROOT / "src"):  # tests/ holds the reference oracles
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
 
+from reference.replay import replay_reference
 from repro import obs
 from repro.atomic import atomic_write_text
 from repro.core.config import OverlapSettings
@@ -127,7 +129,7 @@ def _pipeline_tasks(stages: int, microbatches: int) -> list[ReplayTask]:
 
 
 def _wide_dag_tasks(resources: int, layers: int) -> list[ReplayTask]:
-    """A layered DAG wide enough for the numpy frontier sweep."""
+    """A layered DAG over many serial resources (wide topological frontiers)."""
     tasks = []
     for layer in range(layers):
         for r in range(resources):
@@ -149,7 +151,7 @@ def _wide_dag_tasks(resources: int, layers: int) -> list[ReplayTask]:
 
 
 def bench_replay_fast_path(smoke: bool) -> tuple[dict, bool]:
-    """Vectorized replay sweep vs the event-by-event reference (bit-identical)."""
+    """Kahn-sweep replay vs the event-by-event oracle (bit-identical)."""
     if smoke:
         cases = {
             "pipeline-s8-mb64": _pipeline_tasks(8, 64),
@@ -165,11 +167,11 @@ def bench_replay_fast_path(smoke: bool) -> tuple[dict, bool]:
         }
         repeats = 5
 
-    def best_of(tasks: list[ReplayTask], fast: bool):
+    def best_of(tasks: list[ReplayTask], replay):
         result, best = None, float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            result = replay_tasks(tasks, fast=fast)
+            result = replay(tasks)
             best = min(best, time.perf_counter() - start)
         return result, best
 
@@ -177,8 +179,8 @@ def bench_replay_fast_path(smoke: bool) -> tuple[dict, bool]:
     identical = True
     total_ref = total_fast = 0.0
     for name, tasks in cases.items():
-        reference, ref_s = best_of(tasks, fast=False)
-        fast, fast_s = best_of(tasks, fast=True)
+        reference, ref_s = best_of(tasks, replay_reference)
+        fast, fast_s = best_of(tasks, replay_tasks)
         identical = identical and (
             fast.spans == reference.spans
             and fast.makespan == reference.makespan

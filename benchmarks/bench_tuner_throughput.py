@@ -3,7 +3,9 @@
 Unlike the ``bench_fig*`` scripts (which regenerate paper figures through
 pytest-benchmark), this is a standalone CLI that measures the *throughput* of
 the tuning/reordering subsystem old-vs-new and emits a machine-readable
-``BENCH_tuning.json`` so subsequent PRs can track the perf trajectory:
+``BENCH_tuning.json`` so subsequent PRs can track the perf trajectory.  The
+"old" arms are the oracles in ``tests/reference/`` (``tuner.py`` and
+``reordering.py``):
 
 * predictive tuning throughput (candidates/s), scalar reference loop vs the
   vectorized ``predict_batch`` path, with the tuning decisions asserted
@@ -37,12 +39,15 @@ import sys
 import time
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "tests", _ROOT / "src"):  # tests/ holds the reference oracles
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
 
+from reference import reordering as reorder_oracle
+from reference.tuner import exhaustive_tune, predictive_tune
 from repro import obs
 from repro.atomic import atomic_write_text
 from repro.comm.primitives import CollectiveKind
@@ -110,8 +115,7 @@ def bench_predictive_tuning(smoke: bool, repeats: int) -> tuple[dict, bool]:
             predictor.predict_batch(matrix),
             np.array([predictor.predict(p) for p in candidates]),
         )
-        and PredictiveTuner(settings, vectorized=True).tune(problem)
-        == PredictiveTuner(settings, vectorized=False).tune(problem)
+        and PredictiveTuner(settings).tune(problem) == predictive_tune(problem, settings)
     )
     return {
         "candidates": len(candidates),
@@ -135,16 +139,16 @@ def bench_pipeline_reorder(smoke: bool, repeats: int) -> tuple[dict, bool]:
     metrics: dict[str, dict] = {}
     all_equal = True
 
-    def add(name: str, runner, elements: int) -> None:
+    def add(name: str, runner, oracle, elements: int) -> None:
         nonlocal all_equal
-        fast = runner(True)
-        ref = runner(False)
+        fast = runner()
+        ref = oracle()
         all_equal = all_equal and all(
             np.array_equal(a, b) for a, b in zip(fast.outputs, ref.outputs)
         )
         all_equal = all_equal and fast.allclose()
-        fast_s = _time(lambda: runner(True), repeats)
-        ref_s = _time(lambda: runner(False), repeats)
+        fast_s = _time(runner, repeats)
+        ref_s = _time(oracle, repeats)
         metrics[name] = {
             "reference_elements_per_s": elements / ref_s,
             "fast_elements_per_s": elements / fast_s,
@@ -162,14 +166,16 @@ def bench_pipeline_reorder(smoke: bool, repeats: int) -> tuple[dict, bool]:
     ar_mats = [rng.normal(size=(size, size)) for _ in range(n_gpus)]
     add(
         "allreduce",
-        lambda fast: run_allreduce_pipeline(ar_mats, ar_plan, fast=fast),
+        lambda: run_allreduce_pipeline(ar_mats, ar_plan),
+        lambda: reorder_oracle.allreduce_pipeline(ar_mats, ar_plan),
         n_gpus * size * size,
     )
 
     rs_plan = build_reorder_plan(CollectiveKind.REDUCE_SCATTER, layout, groups, n_gpus)
     add(
         "reducescatter",
-        lambda fast: run_reduce_scatter_pipeline(ar_mats, rs_plan, fast=fast),
+        lambda: run_reduce_scatter_pipeline(ar_mats, rs_plan),
+        lambda: reorder_oracle.reduce_scatter_pipeline(ar_mats, rs_plan),
         n_gpus * size * size,
     )
 
@@ -188,7 +194,8 @@ def bench_pipeline_reorder(smoke: bool, repeats: int) -> tuple[dict, bool]:
         a2a_dests.append(rng.integers(0, n_gpus, size=a2a_size))
     add(
         "alltoall",
-        lambda fast: run_all_to_all_pipeline(a2a_mats, a2a_dests, a2a_plans, fast=fast),
+        lambda: run_all_to_all_pipeline(a2a_mats, a2a_dests, a2a_plans),
+        lambda: reorder_oracle.all_to_all_pipeline(a2a_mats, a2a_dests, a2a_plans),
         n_gpus * a2a_size * a2a_size,
     )
 
@@ -247,11 +254,11 @@ def bench_exhaustive(smoke: bool, repeats: int) -> dict:
 
     def naive() -> None:
         for _ in range(inner):
-            ExhaustiveTuner(settings, incremental=False).tune(problem)
+            exhaustive_tune(problem, settings)
 
     def incremental() -> None:
         for _ in range(inner):
-            ExhaustiveTuner(settings, incremental=True).tune(problem)
+            ExhaustiveTuner(settings).tune(problem)
 
     naive_s = _time(naive, repeats)
     incremental_s = _time(incremental, repeats)
@@ -271,7 +278,7 @@ def bench_sweep_tuning(smoke: bool, repeats: int) -> dict:
     def old() -> None:
         for problem, settings in jobs:
             clear_profile_caches()
-            PredictiveTuner(settings, vectorized=False).tune(problem)
+            predictive_tune(problem, settings)
 
     def new() -> None:
         for problem, settings in jobs:

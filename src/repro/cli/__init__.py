@@ -80,7 +80,13 @@ _COMMANDS = {module.NAME: module.run for module in _MODULES}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point of the ``repro`` / ``repro-overlap`` console scripts."""
+    """Entry point of the ``repro`` console script.
+
+    This is the one error boundary of every subcommand: bad input surfacing
+    as a ``ValueError`` (``json.JSONDecodeError`` included) or an ``OSError``
+    prints one ``repro <command>: error: ...`` line to stderr and exits 2,
+    like argparse's own usage errors.
+    """
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
@@ -91,3 +97,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except (OSError, ValueError) as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2

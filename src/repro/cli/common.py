@@ -32,7 +32,6 @@ __all__ = [
     "add_seed_argument",
     "add_smoke_argument",
     "cluster_from_args",
-    "command_error",
     "finish_profile",
     "plan_store_line",
     "problem_from_args",
@@ -132,12 +131,6 @@ def problem_from_args(args: argparse.Namespace) -> OverlapProblem:
 
 def settings_from_args(args: argparse.Namespace) -> OverlapSettings:
     return OverlapSettings(seed=args.seed)
-
-
-def command_error(command: str, error: object) -> int:
-    """Print a subcommand error to stderr; returns the conventional exit 2."""
-    print(f"repro {command}: error: {error}", file=sys.stderr)
-    return 2
 
 
 def write_json_report(report, path: str) -> None:

@@ -5,8 +5,7 @@ input-gradient backward (``B``) and weight-gradient (``W``) -- a position in
 one stage's serial execution order.  Timing then follows from greedy list
 scheduling: a cell starts when its stage is free *and* its cross-stage
 dependencies (plus the inter-stage P2P transfer) have arrived, which is what
-:func:`Schedule.replay` computes on the event engine and
-:func:`critical_path` recomputes independently from the cell DAG.
+:func:`Schedule.replay` computes with :func:`repro.sim.replay.replay_tasks`.
 
 The three generators:
 
@@ -47,7 +46,6 @@ __all__ = [
     "one_f_one_b_schedule",
     "zero_bubble_schedule",
     "generate_schedule",
-    "critical_path",
     "stage_peak_inflight",
     "KNOWN_SCHEDULES",
 ]
@@ -148,14 +146,9 @@ class Schedule:
             for cell in self.cells()
         ]
 
-    def replay(self, record_trace: bool = False, fast: bool = True) -> ReplayResult:
-        """Greedy list-scheduled execution (vectorized sweep by default).
-
-        ``fast=False`` replays event by event on the engine; the results are
-        bit-identical either way (and recording a trace always uses the
-        event-by-event path, whose event order defines the stream layout).
-        """
-        return replay_tasks(self.tasks(), record_trace=record_trace, fast=fast)
+    def replay(self, record_trace: bool = False) -> ReplayResult:
+        """Greedy list-scheduled execution of :meth:`tasks`."""
+        return replay_tasks(self.tasks(), record_trace=record_trace)
 
     def useful_work(self) -> float:
         """Total F+B+W compute across all stages (recomputation excluded)."""
@@ -414,40 +407,3 @@ def stage_peak_inflight(schedule: Schedule) -> tuple[int, ...]:
                 live -= 1
         peaks.append(peak)
     return tuple(peaks)
-
-
-def critical_path(schedule: Schedule) -> float:
-    """Step time recomputed independently from the cell DAG.
-
-    Kahn-style longest path over the union of the cross-stage dependency
-    edges and the per-stage serial-order edges -- no event engine, no
-    resource bookkeeping.  Must equal ``schedule.replay().makespan`` exactly
-    (the property suite asserts bit-equality).
-    """
-    cells = {cell.name: cell for cell in schedule.cells()}
-    edges: dict[str, list[tuple[str, float]]] = {name: [] for name in cells}
-    indegree = dict.fromkeys(cells, 0)
-    for cell in cells.values():
-        for dep, delay in schedule.dependencies(cell):
-            edges[dep].append((cell.name, delay))
-            indegree[cell.name] += 1
-    for order in schedule.stage_orders:
-        for earlier, later in zip(order, order[1:]):
-            edges[earlier.name].append((later.name, 0.0))
-            indegree[later.name] += 1
-
-    start = dict.fromkeys(cells, 0.0)
-    queue = [name for name, degree in indegree.items() if degree == 0]
-    finished: dict[str, float] = {}
-    while queue:
-        name = queue.pop()
-        end = start[name] + cells[name].duration
-        finished[name] = end
-        for successor, delay in edges[name]:
-            start[successor] = max(start[successor], end + delay)
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                queue.append(successor)
-    if len(finished) != len(cells):
-        raise RuntimeError("schedule DAG is cyclic")
-    return max(finished.values(), default=0.0)

@@ -7,7 +7,8 @@ system:
   generators with named prompt/output length distributions;
 * :mod:`repro.serve.scheduler` -- Orca/vLLM-style continuous batching with
   chunked prefill, emitting the per-iteration GEMM shapes;
-* :mod:`repro.serve.plan_cache` -- LRU, shape-bucketed cache of tuned
+* :class:`~repro.plans.cache.PlanCache` (re-exported here) -- the shared
+  plan store in its LRU, shape-bucketed serving mode: tuned
   :class:`~repro.core.tuner.TuningResult` plans (with
   :class:`~repro.core.tuner.GemmShapeCache` warm start) so repeated shapes
   skip the tuner;
@@ -18,6 +19,7 @@ system:
   goodput under an SLO.
 """
 
+from repro.plans.cache import CachedPlan, PlanCache, bucket_tokens
 from repro.serve.arrivals import (
     LengthDistribution,
     PoissonArrivals,
@@ -27,7 +29,6 @@ from repro.serve.arrivals import (
     length_distributions,
 )
 from repro.serve.metrics import SLO, LatencyStats, RequestRecord, ServingMetrics, compute_metrics
-from repro.serve.plan_cache import CachedPlan, PlanCache, bucket_tokens
 from repro.serve.scheduler import (
     ContinuousBatchingScheduler,
     IterationBatch,

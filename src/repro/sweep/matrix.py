@@ -146,7 +146,7 @@ class Scenario:
 def _normalize_overrides(overrides: Mapping) -> tuple[tuple[str, float], ...]:
     unknown = set(overrides) - SETTINGS_AXES
     if unknown:
-        raise KeyError(
+        raise ValueError(
             f"unknown OverlapSettings axes {sorted(unknown)}; allowed: {sorted(SETTINGS_AXES)}"
         )
     return tuple(sorted((str(name), float(value)) for name, value in overrides.items()))
@@ -261,6 +261,9 @@ class ScenarioMatrix:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ScenarioMatrix":
         """Rebuild a matrix from :meth:`to_dict` output (the JSON config form)."""
+        missing = [key for key in ("name", "shapes", "platforms", "collectives") if key not in payload]
+        if missing:
+            raise ValueError(f"scenario matrix config lacks required keys {missing}")
         return cls.build(
             name=str(payload["name"]),
             workload=str(payload.get("workload", payload["name"])),

@@ -298,5 +298,5 @@ def matrix_from_preset(name: str) -> ScenarioMatrix:
     try:
         factory = _PRESETS[name]
     except KeyError:
-        raise KeyError(f"unknown sweep preset {name!r}; known: {sorted(_PRESETS)}") from None
+        raise ValueError(f"unknown sweep preset {name!r}; known: {sorted(_PRESETS)}") from None
     return factory()

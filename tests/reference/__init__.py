@@ -1,0 +1,8 @@
+"""Reference oracles of the production fast paths.
+
+Each module keeps the straightforward implementation a hot path in
+``src/repro`` was optimized from: the event-by-event replay, the per-tile
+reorder loops, the scalar and per-candidate tuner loops, and the independent
+pipeline critical path.  The differential suites and the speedup benchmarks
+compare the production code against them; nothing in ``repro`` imports them.
+"""

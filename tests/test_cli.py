@@ -247,3 +247,34 @@ class TestParser:
     def test_unknown_device_rejected(self):
         with pytest.raises(SystemExit):
             main(["report", "--device", "tpu-v9"])
+
+
+class TestErrorBoundary:
+    """Bad input exits 2 with one ``repro <cmd>: error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--m", "0"],
+            ["e2e", "--layers", "0"],
+            ["e2e", "--tokens", "0"],
+            ["serve", "--faults", "missing.json"],
+            ["serve", "--smoke", "--retry-policy", "bogus"],
+            ["pp", "--plan", "missing.json"],
+            ["pp", "--plan", "malformed.json"],
+            ["pp", "--smoke", "--partition", "1,1,1"],
+            ["plan", "--gpus", "0", "--smoke"],
+            ["plan", "--smoke", "--deadline", "0"],
+            ["sweep", "--preset", "nope"],
+            ["sweep", "--config", "missing.json"],
+            ["sweep", "--config", "malformed.json"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_2_without_traceback(self, argv, capfd, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "malformed.json").write_text("{not json", encoding="utf-8")
+        assert main(argv) == 2
+        err = capfd.readouterr().err
+        assert f"repro {argv[0]}: error: " in err
+        assert "Traceback" not in err

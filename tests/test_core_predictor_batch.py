@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from reference.tuner import predictive_tune
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
@@ -138,8 +139,8 @@ class TestTunerFastPath:
             OverlapSettings(bandwidth_profile_noise=0.0, executor_jitter=0.0),
             OverlapSettings(max_first_group=1, max_last_group=2),
         ):
-            fast = PredictiveTuner(settings, vectorized=True).tune(paper_problem_4090)
-            reference = PredictiveTuner(settings, vectorized=False).tune(paper_problem_4090)
+            fast = PredictiveTuner(settings).tune(paper_problem_4090)
+            reference = predictive_tune(paper_problem_4090, settings)
             assert fast == reference
 
     def test_sequential_fallback_agrees(self, tiny_device, tiny_topology, small_tile_config):
@@ -153,8 +154,8 @@ class TestTunerFastPath:
             gemm_config=small_tile_config,
         )
         settings = OverlapSettings(executor_jitter=0.0, bandwidth_profile_noise=0.0)
-        fast = PredictiveTuner(settings, vectorized=True).tune(problem)
-        reference = PredictiveTuner(settings, vectorized=False).tune(problem)
+        fast = PredictiveTuner(settings).tune(problem)
+        reference = predictive_tune(problem, settings)
         assert fast.use_overlap == reference.use_overlap
 
 

@@ -1,14 +1,16 @@
-"""Equivalence suite: index-based reorder fast paths vs the per-tile reference.
+"""Equivalence suite: index-based reorder pipelines vs the per-tile oracles.
 
-For all three collectives, the cached-index execution (``fast=True``) must
-produce outputs *bit-identical* to the per-tile/per-row reference loops
-(``fast=False``) -- the fast path only permutes differently, it never changes
-a value -- and both must stay ``np.allclose`` to the plain collective.
+For all three collectives, the cached-index execution must produce outputs
+*bit-identical* to the per-tile/per-row loops in
+``tests/reference/reordering.py`` -- the index path only permutes
+differently, it never changes a value -- and both must stay ``np.allclose``
+to the plain collective.
 """
 
 import numpy as np
 import pytest
 
+from reference import reordering as oracle
 from repro.comm.primitives import CollectiveKind
 from repro.core.reordering import (
     build_reorder_plan,
@@ -85,8 +87,8 @@ class TestAllReduceFastPath:
     def test_bit_identical_to_reference(self, layout, num_groups, rng):
         plan = _grouped_plan(CollectiveKind.ALL_REDUCE, layout, 4, num_groups, rng)
         matrices = [rng.normal(size=(layout.m, layout.n)) for _ in range(4)]
-        fast = run_allreduce_pipeline(matrices, plan, fast=True)
-        reference = run_allreduce_pipeline(matrices, plan, fast=False)
+        fast = run_allreduce_pipeline(matrices, plan)
+        reference = oracle.allreduce_pipeline(matrices, plan)
         for fast_out, ref_out in zip(fast.outputs, reference.outputs):
             np.testing.assert_array_equal(fast_out, ref_out)
         assert fast.allclose()
@@ -103,8 +105,8 @@ class TestReduceScatterFastPath:
         def op(x):
             return np.tanh(x) + 0.5
 
-        fast = run_reduce_scatter_pipeline(matrices, plan, elementwise=op, fast=True)
-        reference = run_reduce_scatter_pipeline(matrices, plan, elementwise=op, fast=False)
+        fast = run_reduce_scatter_pipeline(matrices, plan, elementwise=op)
+        reference = oracle.reduce_scatter_pipeline(matrices, plan, elementwise=op)
         for fast_out, ref_out in zip(fast.outputs, reference.outputs):
             np.testing.assert_array_equal(fast_out, ref_out)
         assert fast.extras["owned_rows"] == reference.extras["owned_rows"]
@@ -123,8 +125,8 @@ class TestAllToAllFastPath:
             )
             matrices.append(rng.normal(size=(24, 30)))
             destinations.append(rng.integers(0, n, size=24))
-        fast = run_all_to_all_pipeline(matrices, destinations, plans, fast=True)
-        reference = run_all_to_all_pipeline(matrices, destinations, plans, fast=False)
+        fast = run_all_to_all_pipeline(matrices, destinations, plans)
+        reference = oracle.all_to_all_pipeline(matrices, destinations, plans)
         for fast_out, ref_out in zip(fast.outputs, reference.outputs):
             np.testing.assert_array_equal(fast_out, ref_out)
         assert fast.allclose()
@@ -138,8 +140,8 @@ class TestAllToAllFastPath:
             plans.append(_grouped_plan(CollectiveKind.ALL_TO_ALL, layout, n, 2, rng))
             matrices.append(rng.normal(size=(12, 16)))
             destinations.append(np.full(12, 1))
-        fast = run_all_to_all_pipeline(matrices, destinations, plans, fast=True)
-        reference = run_all_to_all_pipeline(matrices, destinations, plans, fast=False)
+        fast = run_all_to_all_pipeline(matrices, destinations, plans)
+        reference = oracle.all_to_all_pipeline(matrices, destinations, plans)
         for fast_out, ref_out in zip(fast.outputs, reference.outputs):
             np.testing.assert_array_equal(fast_out, ref_out)
         assert fast.outputs[0].shape[0] == 0

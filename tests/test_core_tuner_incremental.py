@@ -1,10 +1,12 @@
-"""Equivalence suite: the incremental exhaustive tuner vs per-candidate simulation,
+"""Equivalence suite: the incremental exhaustive tuner vs per-candidate simulation
+(the ``tests/reference/tuner.py`` oracle),
 and the exhaustive tuner's sequential-fallback decision."""
 
 import math
 
 import pytest
 
+from reference.tuner import exhaustive_tune
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import InterconnectKind, Topology, rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
@@ -23,8 +25,8 @@ class TestIncrementalExhaustive:
     @pytest.mark.parametrize("jitter", [0.0, 0.02])
     def test_identical_to_naive(self, problem, jitter):
         settings = OverlapSettings(executor_jitter=jitter)
-        incremental = ExhaustiveTuner(settings, incremental=True).tune(problem)
-        naive = ExhaustiveTuner(settings, incremental=False).tune(problem)
+        incremental = ExhaustiveTuner(settings).tune(problem)
+        naive = exhaustive_tune(problem, settings)
         assert incremental.partition == naive.partition
         assert incremental.predicted_latency == naive.predicted_latency
         assert incremental.use_overlap == naive.use_overlap
@@ -36,8 +38,8 @@ class TestIncrementalExhaustive:
         assert executor.simulate(result.partition).latency == result.predicted_latency
 
     def test_identical_on_small_problem(self, small_problem, fast_settings):
-        incremental = ExhaustiveTuner(fast_settings, incremental=True).tune(small_problem)
-        naive = ExhaustiveTuner(fast_settings, incremental=False).tune(small_problem)
+        incremental = ExhaustiveTuner(fast_settings).tune(small_problem)
+        naive = exhaustive_tune(small_problem, fast_settings)
         assert incremental.partition == naive.partition
         assert incremental.predicted_latency == naive.predicted_latency
 
@@ -50,8 +52,8 @@ class TestIncrementalExhaustive:
             collective=CollectiveKind.REDUCE_SCATTER,
             imbalance=imbalance,
         )
-        incremental = ExhaustiveTuner(fast_settings, incremental=True).tune(problem)
-        naive = ExhaustiveTuner(fast_settings, incremental=False).tune(problem)
+        incremental = ExhaustiveTuner(fast_settings).tune(problem)
+        naive = exhaustive_tune(problem, fast_settings)
         assert incremental.partition == naive.partition
         assert incremental.predicted_latency == naive.predicted_latency
 

@@ -23,10 +23,10 @@ import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
+from reference.schedule import critical_path
 from repro.pp.schedule import (
     KNOWN_SCHEDULES,
     StageCostVector,
-    critical_path,
     generate_schedule,
 )
 from repro.workloads.pipeline import partition_layers

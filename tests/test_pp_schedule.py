@@ -7,10 +7,10 @@ recomputation), 15 (1F1B) and 13 (zero-bubble).
 
 import pytest
 
+from reference.schedule import critical_path
 from repro.pp.schedule import (
     Cell,
     StageCostVector,
-    critical_path,
     generate_schedule,
     gpipe_schedule,
     one_f_one_b_schedule,

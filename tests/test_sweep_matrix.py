@@ -78,7 +78,7 @@ class TestScenarioMaterialisation:
         assert settings.seed == 7
 
     def test_unknown_settings_axis_rejected(self):
-        with pytest.raises(KeyError, match="unknown OverlapSettings axes"):
+        with pytest.raises(ValueError, match="unknown OverlapSettings axes"):
             ScenarioMatrix.build(
                 name="bad", workload="bad",
                 shapes=[(512, 1024, 1024)],
@@ -133,7 +133,7 @@ class TestPresets:
         assert all(s.m * s.n <= 2048 * 2048 for s in scenarios)
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(KeyError, match="unknown sweep preset"):
+        with pytest.raises(ValueError, match="unknown sweep preset"):
             matrix_from_preset("nope")
 
     def test_serving_presets_grid_over_arrival_rates(self):
