@@ -67,6 +67,7 @@ class OverlapExecutor:
         self.gemm_contended = problem.gemm_model()
         self.comm_model: CollectiveModel = problem.collective_model()
         self._wave_tiles: list[list[int]] | None = None
+        self._waves: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic quantities -----------------------------------------------------
 
@@ -81,19 +82,31 @@ class OverlapExecutor:
             self._wave_tiles = self.gemm_contended.wave_tiles(self.compute_sms)
         return self._wave_tiles
 
+    def waves(self) -> tuple[np.ndarray, np.ndarray]:
+        """Launch order and wave start offsets of the contended GEMM
+        (memoized, see :meth:`GemmKernelModel.wave_offsets`)."""
+        if self._waves is None:
+            order = self.gemm_contended.execution_order_array()
+            offsets = self.gemm_contended.wave_offsets(self.compute_sms)
+            order.flags.writeable = offsets.flags.writeable = False
+            self._waves = (order, offsets)
+        return self._waves
+
+    def wave_payload_bytes(self) -> np.ndarray:
+        """Exact bytes produced by each wave (``int64``, edge tiles included)."""
+        order, offsets = self.waves()
+        elements = np.add.reduceat(self.gemm_contended.layout.tile_element_counts[order], offsets[:-1])
+        return elements * self.problem.dtype_bytes
+
     def assignment(self, partition: WavePartition) -> GroupAssignment:
-        return GroupAssignment.build(partition, self.wave_tiles())
+        return GroupAssignment.from_waves(partition, *self.waves())
 
     def group_payload_bytes(self, assignment: GroupAssignment) -> np.ndarray:
         """Exact bytes communicated per group (edge tiles included)."""
-        layout = self.gemm_contended.layout
-        return np.array(
-            [
-                sum(layout.tile_elements(t) for t in tiles) * self.problem.dtype_bytes
-                for tiles in assignment.group_tiles
-            ],
-            dtype=np.float64,
-        )
+        elements = self.gemm_contended.layout.tile_element_counts[assignment.tiles]
+        prefix = np.concatenate([[0], np.cumsum(elements)])
+        group_elements = prefix[assignment.offsets[1:]] - prefix[assignment.offsets[:-1]]
+        return (group_elements * self.problem.dtype_bytes).astype(np.float64)
 
     def _jitter(self, partition: WavePartition, count: int) -> np.ndarray:
         """Deterministic per-group noise multipliers for this partition."""
@@ -158,9 +171,9 @@ class OverlapExecutor:
             * self.problem.imbalance
             + launch
         )
+        order, wave_offsets = self.waves()
         tile_times = np.empty(self.gemm_contended.num_tiles)
-        for wave_index, tiles in enumerate(self.wave_tiles()):
-            tile_times[tiles] = wave_end[wave_index]
+        tile_times[order] = np.repeat(wave_end, np.diff(wave_offsets))
         signals = SignalSchedule.from_tile_times(
             assignment, tile_times, signal_latency=self.settings.signal_poll_s
         )

@@ -121,7 +121,7 @@ class FlashOverlapOperator:
         reorder = build_reorder_plan(
             self.problem.collective,
             self.executor.gemm_contended.layout,
-            [list(t) for t in assignment.group_tiles],
+            assignment.group_tiles,
             self.problem.n_gpus,
         )
         plan = OverlapPlan(

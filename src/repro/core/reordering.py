@@ -140,14 +140,11 @@ class ReorderPlan:
         key = ("subtile_rows", group_index)
         if key not in cache:
             sub_rows = self.layout.tile_m // self.n_gpus
-            rows_per_gpu = []
-            for k in range(self.n_gpus):
-                rows: list[int] = []
-                for tile in self.groups[group_index].tile_order:
-                    rs, _ = self.layout.tile_slices(tile)
-                    rows.extend(range(rs.start + k * sub_rows, rs.start + (k + 1) * sub_rows))
-                rows_per_gpu.append(rows)
-            cache[key] = rows_per_gpu
+            row_start = self.layout.tile_extents(self.groups[group_index].tile_order)[0]
+            cache[key] = [
+                (row_start[:, None] + np.arange(k * sub_rows, (k + 1) * sub_rows)).reshape(-1).tolist()
+                for k in range(self.n_gpus)
+            ]
         return cache[key]
 
     def group_subtoken_index(self, group_index: int) -> SubtokenIndex:
@@ -156,46 +153,39 @@ class ReorderPlan:
         key = ("subtoken", group_index)
         if key not in cache:
             order = self.groups[group_index].tile_order
-            rows_parts, cb_parts, len_parts = [], [], []
-            for tile in order:
-                rs, cs = self.layout.tile_slices(tile)
-                _, col_block = self.layout.tile_coords(tile)
-                tile_rows = np.arange(rs.start, rs.stop, dtype=np.int64)
-                rows_parts.append(tile_rows)
-                cb_parts.append(np.full(tile_rows.size, col_block, dtype=np.int64))
-                len_parts.append(np.full(tile_rows.size, cs.stop - cs.start, dtype=np.int64))
-            rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, dtype=np.int64)
-            lengths = np.concatenate(len_parts) if len_parts else np.empty(0, dtype=np.int64)
+            row_start, col_start, rows, cols = self.layout.tile_extents(order)
+            # One sub-token per row of each tile, tiles in pack order.
+            first = np.cumsum(rows) - rows
+            local_row = np.arange(int(rows.sum()), dtype=np.int64) - np.repeat(first, rows)
+            lengths = np.repeat(cols, rows)
             cache[key] = SubtokenIndex(
-                rows=rows,
-                col_blocks=np.concatenate(cb_parts) if cb_parts else np.empty(0, dtype=np.int64),
+                rows=np.repeat(row_start, rows) + local_row,
+                col_blocks=np.repeat(col_start // self.layout.tile_n, rows),
                 lengths=lengths,
                 # Row-major within each tile, tiles in pack order: the same
                 # permutation gather_tiles would realize, element for element.
                 flat_indices=tile_flat_indices(self.layout, order),
-                token_of_elem=np.repeat(np.arange(rows.size, dtype=np.int64), lengths),
+                token_of_elem=np.repeat(np.arange(lengths.size, dtype=np.int64), lengths),
             )
         return cache[key]
 
     def global_mapping(self) -> MappingTable:
         """Tile-level mapping table across all groups (Fig. 5's table)."""
-        table = MappingTable()
-        for group in self.groups:
-            for tile in group.tile_order:
-                table.append(tile)
-        return table
+        return MappingTable.from_order(self.all_tiles())
 
     def all_tiles(self) -> list[int]:
-        tiles: list[int] = []
-        for group in self.groups:
-            tiles.extend(group.tile_order)
-        return tiles
+        return [tile for group in self.groups for tile in group.tile_order]
 
     def validate(self) -> None:
         """Check that the plan covers every tile exactly once."""
-        tiles = self.all_tiles()
-        if sorted(tiles) != list(range(self.layout.num_tiles)):
-            raise ValueError("reorder plan does not cover every tile exactly once")
+        _check_covers_grid(self.layout, np.array(self.all_tiles(), dtype=np.int64))
+
+
+def _check_covers_grid(layout: TileLayout, tiles: np.ndarray) -> None:
+    if tiles.size != layout.num_tiles or not np.array_equal(
+        np.sort(tiles), np.arange(layout.num_tiles)
+    ):
+        raise ValueError("reorder plan does not cover every tile exactly once")
 
 
 def build_reorder_plan(
@@ -213,19 +203,20 @@ def build_reorder_plan(
     """
     if n_gpus < 1:
         raise ValueError("n_gpus must be >= 1")
+    orders = [np.asarray(tiles, dtype=np.int64).reshape(-1) for tiles in group_tiles]
+    _check_covers_grid(layout, np.concatenate(orders) if orders else np.empty(0, dtype=np.int64))
     groups = []
     position = 0
-    for group_index, tiles in enumerate(group_tiles):
-        mapping = MappingTable()
-        for tile in tiles:
-            mapping.append(int(tile), position)
-            position += 1
+    for group_index, order in enumerate(orders):
         groups.append(
-            GroupReorderPlan(group_index=group_index, tile_order=tuple(int(t) for t in tiles), mapping=mapping)
+            GroupReorderPlan(
+                group_index=group_index,
+                tile_order=tuple(order.tolist()),
+                mapping=MappingTable.from_order(order, start=position),
+            )
         )
-    plan = ReorderPlan(collective=collective, layout=layout, n_gpus=n_gpus, groups=tuple(groups))
-    plan.validate()
-    return plan
+        position += order.size
+    return ReorderPlan(collective=collective, layout=layout, n_gpus=n_gpus, groups=tuple(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +248,6 @@ class PipelineResult:
         )
 
 
-def _replay_signals(assignment: GroupAssignment, execution_order: Sequence[int]) -> CountingTable:
-    """Replay the counting table over the execution order and return it.
-
-    Ensures every group the pipeline communicates has actually been signalled,
-    i.e. the data dependency is respected.
-    """
-    table = assignment.counting_table()
-    for tile in execution_order:
-        if tile in assignment.group_of_tile:
-            table.record_tile(assignment.group_of_tile[tile])
-    return table
-
-
 def run_allreduce_pipeline(
     matrices: Sequence[np.ndarray],
     plan: ReorderPlan,
@@ -291,7 +269,7 @@ def run_allreduce_pipeline(
 
     table = None
     if assignment is not None and execution_order is not None:
-        table = _replay_signals(assignment, execution_order)
+        table = assignment.replay(execution_order)
 
     inputs = [np.asarray(m, dtype=np.float64) for m in matrices]
     outputs = [np.zeros((layout.m, layout.n), dtype=np.float64) for _ in matrices]
@@ -360,7 +338,7 @@ def run_reduce_scatter_pipeline(
 
     table = None
     if assignment is not None and execution_order is not None:
-        table = _replay_signals(assignment, execution_order)
+        table = assignment.replay(execution_order)
 
     owned_values = [np.zeros((layout.m, layout.n), dtype=np.float64) for _ in range(n)]
     owned_rows: list[set[int]] = [set() for _ in range(n)]
@@ -430,7 +408,7 @@ def run_all_to_all_pipeline(
     tables = [None] * n
     if assignments is not None and execution_orders is not None:
         tables = [
-            _replay_signals(assignment, order)
+            assignment.replay(order)
             for assignment, order in zip(assignments, execution_orders)
         ]
 

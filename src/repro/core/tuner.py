@@ -162,15 +162,7 @@ class ExhaustiveTuner:
             * problem.imbalance
             + launch
         )
-        layout = executor.gemm_contended.layout
-        wave_bytes = np.array(
-            [
-                sum(layout.tile_elements(t) for t in tiles) * problem.dtype_bytes
-                for tiles in executor.wave_tiles()
-            ],
-            dtype=np.int64,
-        )
-        byte_prefix = np.concatenate([[0], np.cumsum(wave_bytes)])
+        byte_prefix = np.concatenate([[0], np.cumsum(executor.wave_payload_bytes())])
         ready = wave_end + settings.signal_poll_s
         deterministic = settings.executor_jitter <= 0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.device import GPUSpec
-from repro.gpu.swizzle import execution_order
+from repro.gpu.swizzle import execution_order_array
 from repro.tensor.layout import TileLayout
 
 #: Bytes per element for the FP16/BF16 data type used throughout the paper.
@@ -130,7 +130,11 @@ class GemmKernelModel:
 
     def execution_order(self) -> list[int]:
         """Tile indices in launch order (swizzled)."""
-        return execution_order(self.layout, self.config.swizzle_size)
+        return self.execution_order_array().tolist()
+
+    def execution_order_array(self) -> np.ndarray:
+        """Tile indices in launch order (swizzled), as an ``int64`` array."""
+        return execution_order_array(self.layout, self.config.swizzle_size)
 
     def wave_size(self, sm_count: int | None = None) -> int:
         """Tiles executed concurrently: one per available SM."""
@@ -141,6 +145,16 @@ class GemmKernelModel:
         """Number of waves ``T = ceil(num_tiles / SMs)``."""
         return -(-self.num_tiles // self._sms(sm_count))
 
+    def wave_offsets(self, sm_count: int | None = None) -> np.ndarray:
+        """Launch-order position where each wave starts, plus the tile count.
+
+        Wave ``w`` runs the tiles ``execution_order_array()[offsets[w]:
+        offsets[w + 1]]``; every wave is full except possibly the last.
+        """
+        size = self._sms(sm_count)
+        starts = np.arange(self.num_waves(sm_count) + 1, dtype=np.int64) * size
+        return np.minimum(starts, self.num_tiles)
+
     def wave_tiles(self, sm_count: int | None = None) -> list[list[int]]:
         """Tile indices of each wave, in execution order."""
         order = self.execution_order()
@@ -149,7 +163,7 @@ class GemmKernelModel:
 
     def wave_sizes(self, sm_count: int | None = None) -> list[int]:
         """Number of tiles in each wave (last wave may be partial)."""
-        return [len(w) for w in self.wave_tiles(sm_count)]
+        return np.diff(self.wave_offsets(sm_count)).tolist()
 
     # -- durations ---------------------------------------------------------
 
@@ -204,22 +218,24 @@ class GemmKernelModel:
         of each other (the paper reports "typically within 5% of a wave
         duration"), reproducing the staircase of Fig. 3.
         """
-        waves = self.wave_tiles(sm_count)
+        order = self.execution_order_array()
+        wave_of_position = np.arange(order.size) // self._sms(sm_count)
         wave_end = self.wave_completion_times(sm_count)
         wave_len = self.wave_duration(sm_count)
         rng = np.random.default_rng(seed)
+        # One draw for all tiles in launch order: the same stream as one draw
+        # per wave, since each uniform consumes one 64-bit output.
+        spread = rng.uniform(-jitter, 0.0, size=order.size) * wave_len
         times = np.empty(self.num_tiles, dtype=np.float64)
-        for wave_index, tiles in enumerate(waves):
-            spread = rng.uniform(-jitter, 0.0, size=len(tiles)) * wave_len
-            for offset, tile_index in enumerate(tiles):
-                times[tile_index] = wave_end[wave_index] + spread[offset]
+        times[order] = wave_end[wave_of_position] + spread
         return times
 
     # -- group helpers (used by the overlap planner) ------------------------
 
-    def group_bytes(self, tiles: list[int]) -> int:
+    def group_bytes(self, tiles: list[int] | np.ndarray) -> int:
         """Bytes of output produced by a set of tiles."""
-        return sum(self.layout.tile_elements(t) for t in tiles) * self.dtype_bytes
+        _, _, rows, cols = self.layout.tile_extents(tiles)
+        return int((rows * cols).sum()) * self.dtype_bytes
 
     def _sms(self, sm_count: int | None) -> int:
         sms = self.device.sm_count if sm_count is None else sm_count

@@ -32,20 +32,27 @@ def swizzled_order(layout: TileLayout, swizzle_size: int) -> list[int]:
     """
     if swizzle_size <= 0:
         raise ValueError("swizzle_size must be positive")
-    order: list[int] = []
-    for panel_start in range(0, layout.grid_n, swizzle_size):
-        panel_cols = range(panel_start, min(panel_start + swizzle_size, layout.grid_n))
-        for row_block in range(layout.grid_m):
-            for col_block in panel_cols:
-                order.append(layout.tile_index(row_block, col_block))
-    return order
+    return execution_order_array(layout, swizzle_size).tolist()
+
+
+def execution_order_array(layout: TileLayout, swizzle_size: int | None) -> np.ndarray:
+    """Tile execution order as an ``int64`` array; ``None`` or ``0`` disables
+    swizzling (see :func:`swizzled_order`).
+
+    In closed form: a stable sort of the row-major tile indices by panel
+    number keeps each panel's tiles in row-major order.
+    """
+    if not swizzle_size:
+        return np.arange(layout.num_tiles, dtype=np.int64)
+    if swizzle_size < 0:
+        raise ValueError("swizzle_size must be positive")
+    panel_of_tile = np.tile(np.arange(layout.grid_n) // swizzle_size, layout.grid_m)
+    return np.argsort(panel_of_tile, kind="stable")
 
 
 def execution_order(layout: TileLayout, swizzle_size: int | None) -> list[int]:
     """Return the tile execution order; ``None`` or ``0`` disables swizzling."""
-    if not swizzle_size:
-        return unswizzled_order(layout)
-    return swizzled_order(layout, swizzle_size)
+    return execution_order_array(layout, swizzle_size).tolist()
 
 
 def is_valid_order(layout: TileLayout, order: list[int]) -> bool:
@@ -102,9 +109,11 @@ def wave_partition(order: list[int], wave_size: int) -> list[list[int]]:
     return [order[i : i + wave_size] for i in range(0, len(order), wave_size)]
 
 
-def tiles_to_waves(order: list[int], wave_size: int) -> np.ndarray:
+def tiles_to_waves(order: list[int] | np.ndarray, wave_size: int) -> np.ndarray:
     """Return ``wave_of[tile_index] = wave number`` for an execution order."""
-    wave_of = np.empty(len(order), dtype=np.int64)
-    for position, tile_index in enumerate(order):
-        wave_of[tile_index] = position // wave_size
+    if wave_size <= 0:
+        raise ValueError("wave_size must be positive")
+    order = np.asarray(order, dtype=np.int64)
+    wave_of = np.empty(order.size, dtype=np.int64)
+    wave_of[order] = np.arange(order.size, dtype=np.int64) // wave_size
     return wave_of

@@ -8,12 +8,18 @@ by a *tile index* in row-major order over the grid::
     tile_index = row_block * grid_n + col_block
 
 The layout supports ragged edges (``M`` or ``N`` not divisible by the tile
-size); edge tiles are simply smaller.
+size); edge tiles are simply smaller.  Whole-grid quantities (the element
+count of every tile) come in closed form as NumPy arrays; the per-tile
+methods serve callers that need one tile.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,45 @@ class TileLayout:
     def num_tiles(self) -> int:
         """Total number of tiles in the grid."""
         return self.grid_m * self.grid_n
+
+    # -- whole-grid geometry (closed form) ---------------------------------
+
+    @cached_property
+    def tile_element_counts(self) -> np.ndarray:
+        """Element count of every tile, indexed by tile index (read-only).
+
+        The outer product of the row-block heights and the column-block
+        widths: only the last row and the last column of blocks can be
+        smaller than ``tile_m x tile_n``.
+        """
+        heights = np.full(self.grid_m, self.tile_m, dtype=np.int64)
+        heights[-1] = self.m - (self.grid_m - 1) * self.tile_m
+        widths = np.full(self.grid_n, self.tile_n, dtype=np.int64)
+        widths[-1] = self.n - (self.grid_n - 1) * self.tile_n
+        counts = np.outer(heights, widths).reshape(-1)
+        counts.flags.writeable = False
+        return counts
+
+    def tile_extents(
+        self, tile_indices: Iterable[int] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(row_start, col_start, rows, cols)`` of many tiles, as arrays.
+
+        The array form of :meth:`tile_slices`, one entry per tile of
+        ``tile_indices``; raises :class:`IndexError` like it does.
+        """
+        if isinstance(tile_indices, np.ndarray):
+            tiles = tile_indices.astype(np.int64, copy=False).reshape(-1)
+        else:
+            tiles = np.fromiter(tile_indices, dtype=np.int64)
+        if tiles.size and not (0 <= tiles.min() and tiles.max() < self.num_tiles):
+            bad = tiles[(tiles < 0) | (tiles >= self.num_tiles)][0]
+            raise IndexError(f"tile index {bad} outside grid of {self.num_tiles} tiles")
+        row_start = tiles // self.grid_n * self.tile_m
+        col_start = tiles % self.grid_n * self.tile_n
+        rows = np.minimum(row_start + self.tile_m, self.m) - row_start
+        cols = np.minimum(col_start + self.tile_n, self.n) - col_start
+        return row_start, col_start, rows, cols
 
     # -- index conversions -------------------------------------------------
 

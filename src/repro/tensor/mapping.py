@@ -32,15 +32,19 @@ class MappingTable:
         self._inverse: dict[int, int] = {pos: orig for orig, pos in self.forward.items()}
 
     @classmethod
-    def from_order(cls, order: list[int] | np.ndarray) -> "MappingTable":
+    def from_order(cls, order: list[int] | np.ndarray, start: int = 0) -> "MappingTable":
         """Build a table from a packing order.
 
         ``order[k]`` is the original index of the unit stored at reordered
-        position ``k``.
+        position ``start + k``.
         """
+        order = np.asarray(order, dtype=np.int64).reshape(-1)
+        if np.unique(order).size != order.size:
+            raise ValueError("packing order lists a unit twice")
+        positions = range(start, start + order.size)
         table = cls()
-        for position, original in enumerate(order):
-            table.append(int(original), position)
+        table.forward = dict(zip(order.tolist(), positions))
+        table._inverse = dict(zip(positions, order.tolist()))
         return table
 
     def append(self, original: int, position: int | None = None) -> int:

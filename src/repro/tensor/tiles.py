@@ -91,18 +91,19 @@ def tile_flat_indices(
     permutations once per reorder plan turns every pre/post-communication
     reorder into a single ``np.take`` / fancy-index assignment.
     """
-    parts = []
-    for tile_index in tile_indices:
-        rs, cs = layout.tile_slices(tile_index)
-        row_start, row_stop = rs.start, rs.stop
-        if row_limit is not None:
-            row_start, row_stop = rs.start + row_limit[0], rs.start + row_limit[1]
-        rows = np.arange(row_start, row_stop, dtype=np.int64)
-        cols = np.arange(cs.start, cs.stop, dtype=np.int64)
-        parts.append((rows[:, None] * layout.n + cols[None, :]).reshape(-1))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
+    row_start, col_start, rows, cols = layout.tile_extents(tile_indices)
+    if row_limit is not None:
+        row_start = row_start + row_limit[0]
+        rows = np.full_like(rows, max(0, row_limit[1] - row_limit[0]))
+    # Each tile fills a run of rows * cols buffer elements; an element's
+    # offset within its tile's run gives its local row (offset // cols) and
+    # local column (offset % cols).
+    sizes = rows * cols
+    first = np.cumsum(sizes) - sizes
+    offset = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(first, sizes)
+    width = np.repeat(cols, sizes)
+    row = np.repeat(row_start, sizes) + offset // width
+    return row * layout.n + np.repeat(col_start, sizes) + offset % width
 
 
 def gather_tiles_indexed(matrix: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ The acceptance properties of the obs layer:
 
 import json
 import math
+import statistics
 import time
 
 import pytest
@@ -102,22 +103,28 @@ class TestNoOpOverhead:
 
     def test_disabled_instrumentation_under_2_percent(self):
         assert not obs.enabled()
-        iterations = 200_000
-        self._work(iterations, True)  # warm both paths
-        self._work(iterations, False)
-        bare = min(
-            self._time(lambda: self._work(iterations, False)) for _ in range(5)
-        )
-        instrumented = min(
-            self._time(lambda: self._work(iterations, True)) for _ in range(5)
-        )
+        slice_iterations = 20 * 1024
+        self._work(10 * slice_iterations, True)  # warm both paths
+        self._work(10 * slice_iterations, False)
+        # Each pair times ten short slices per arm, alternating arms, so both
+        # arms see the same host load; the median of the per-pair ratios
+        # then discards the pairs a burst of load still skewed.
+        bare, ratios = [], []
+        for pair in range(21):
+            totals = {False: 0.0, True: 0.0}
+            for k in range(10):
+                for arm in (False, True) if (pair + k) % 2 == 0 else (True, False):
+                    totals[arm] += self._time(self._work, slice_iterations, arm)
+            bare.append(totals[False])
+            ratios.append(totals[True] / totals[False])
+        ratio = statistics.median(ratios)
         # <2% relative overhead, with a tiny absolute floor against timer noise.
-        assert instrumented <= bare * 1.02 + 5e-4, (instrumented, bare)
+        assert ratio <= 1.02 + 5e-4 / statistics.median(bare), (ratio, sorted(ratios))
 
     @staticmethod
-    def _time(fn) -> float:
+    def _time(fn, *args) -> float:
         start = time.perf_counter()
-        fn()
+        fn(*args)
         return time.perf_counter() - start
 
 
