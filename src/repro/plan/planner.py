@@ -50,6 +50,7 @@ from repro.pp import PipelineEstimator, estimate_pipelines
 from repro.pp.estimator import PipelineEstimate
 from repro.pp.pricing import price_pipeline
 from repro.pp.schedule import KNOWN_SCHEDULES
+from repro.workloads.e2e import workload_builders
 from repro.workloads.pipeline import (
     PipelineWorkload,
     build_pipeline_workload,
@@ -69,6 +70,11 @@ __all__ = [
 PLAN_METHODS = ("non-overlap", "overlap")
 
 PLAN_VERSION = 1
+
+#: Plan fields without a default.
+_REQUIRED_FIELDS = (
+    "workload", "tokens", "tp", "stages", "microbatches", "partition", "schedule", "method",
+)
 
 
 @dataclass(frozen=True)
@@ -115,9 +121,23 @@ class ParallelismPlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ParallelismPlan":
+        """Parse a plan document; a bad document raises a ``ValueError`` naming the field."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a plan must be a JSON object, not {type(payload).__name__}")
         version = payload.get("version", PLAN_VERSION)
         if version != PLAN_VERSION:
             raise ValueError(f"unsupported plan version {version} (expected {PLAN_VERSION})")
+        missing = [key for key in _REQUIRED_FIELDS if key not in payload]
+        if missing:
+            raise ValueError(f"plan is missing required field(s): {', '.join(map(repr, missing))}")
+        for key, known in (
+            ("workload", workload_builders()),
+            ("schedule", KNOWN_SCHEDULES),
+            ("method", PLAN_METHODS),
+        ):
+            value = payload[key]
+            if not isinstance(value, str) or value not in known:
+                raise ValueError(f"plan field {key!r}: unknown {key} {value!r}; known: {sorted(known)}")
         return cls(
             workload=payload["workload"],
             tokens=payload["tokens"],

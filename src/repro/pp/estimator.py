@@ -268,7 +268,10 @@ def _score(schedule: Schedule, result: ReplayResult, method: str) -> ScheduleMet
     # the slowed spans would otherwise count as busy and the idle split would
     # underreport the stall the fault introduced.
     busy = tuple(result.work[stage] for stage in stages)
-    bubble = 1.0 - useful / (schedule.num_stages * step) if step > 0 else 0.0
+    # On a pipeline with no gaps the exact ``fsum`` of the useful work can
+    # exceed the stages' capacity (a chain of rounded ``start + duration``
+    # sums) by an ulp; a bubble is never negative, so clamp that noise.
+    bubble = max(0.0, 1.0 - useful / (schedule.num_stages * step)) if step > 0 else 0.0
     return ScheduleMethodResult(
         method=method,
         step_latency=step,

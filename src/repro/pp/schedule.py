@@ -5,7 +5,11 @@ input-gradient backward (``B``) and weight-gradient (``W``) -- a position in
 one stage's serial execution order.  Timing then follows from greedy list
 scheduling: a cell starts when its stage is free *and* its cross-stage
 dependencies (plus the inter-stage P2P transfer) have arrived, which is what
-:func:`Schedule.replay` computes with :func:`repro.sim.replay.replay_tasks`.
+:func:`Schedule.replay` computes with :func:`repro.sim.replay.replay_tasks`
+on a cell-indexed :class:`~repro.sim.replay.TaskGraph`.  One rule,
+:func:`_dependency_rule`, says which cells a cell waits for; the replay
+graph, the named :meth:`Schedule.tasks` and the zero-bubble list scheduler
+all read it.
 
 The three generators:
 
@@ -32,11 +36,15 @@ The three generators:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from math import fsum
+from typing import NamedTuple
 
 from repro.gpu.kernels import KernelCategory
-from repro.sim.replay import ReplayResult, ReplayTask, replay_tasks
+from repro.sim.replay import ReplayResult, ReplayTask, TaskGraph, replay_tasks
 
 __all__ = [
     "Cell",
@@ -82,9 +90,12 @@ class StageCostVector:
         return self.forward + self.dgrad + self.wgrad
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One scheduled unit: a microbatch's F/B/W pass through one stage."""
+class Cell(NamedTuple):
+    """One scheduled unit: a microbatch's F/B/W pass through one stage.
+
+    A named tuple rather than a dataclass: schedules hold hundreds of
+    thousands of cells, and tuples are several times cheaper to build.
+    """
 
     stage: int
     microbatch: int
@@ -94,6 +105,28 @@ class Cell:
     @property
     def name(self) -> str:
         return f"{self.kind}{self.microbatch}@s{self.stage}"
+
+
+def _dependency_rule(
+    kind: str, stage: int, last: int, fwd_delay: float, bwd_delay: float
+) -> tuple[tuple[str, int, float], ...]:
+    """``(kind, stage, delay)`` of each cell a ``kind`` cell on ``stage`` waits for.
+
+    Every edge stays within one microbatch: a forward waits for the previous
+    stage's forward plus the activation transfer, an input-gradient backward
+    for its own forward and the next stage's backward plus the gradient
+    transfer, and a weight-gradient cell for its own backward.  ``last`` is
+    the index of the last stage.
+    """
+    if kind == "F":
+        return (("F", stage - 1, fwd_delay),) if stage > 0 else ()
+    if kind == "B":
+        if stage < last:
+            return (("F", stage, 0.0), ("B", stage + 1, bwd_delay))
+        return (("F", stage, 0.0),)
+    if kind == "W":
+        return (("B", stage, 0.0),)
+    raise ValueError(f"unknown cell kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -118,20 +151,12 @@ class Schedule:
 
     def dependencies(self, cell: Cell) -> list[tuple[str, float]]:
         """Cross-stage / cross-kind dependency edges of one cell."""
-        deps: list[tuple[str, float]] = []
-        last = self.num_stages - 1
-        if cell.kind == "F":
-            if cell.stage > 0:
-                deps.append((f"F{cell.microbatch}@s{cell.stage - 1}", self.fwd_delay))
-        elif cell.kind == "B":
-            deps.append((f"F{cell.microbatch}@s{cell.stage}", 0.0))
-            if cell.stage < last:
-                deps.append((f"B{cell.microbatch}@s{cell.stage + 1}", self.bwd_delay))
-        elif cell.kind == "W":
-            deps.append((f"B{cell.microbatch}@s{cell.stage}", 0.0))
-        else:  # pragma: no cover - Cell.kind is internal
-            raise ValueError(f"unknown cell kind {cell.kind!r}")
-        return deps
+        return [
+            (f"{kind}{cell.microbatch}@s{stage}", delay)
+            for kind, stage, delay in _dependency_rule(
+                cell.kind, cell.stage, self.num_stages - 1, self.fwd_delay, self.bwd_delay
+            )
+        ]
 
     def tasks(self) -> list[ReplayTask]:
         """The schedule as replayable tasks (one serial resource per stage)."""
@@ -146,9 +171,76 @@ class Schedule:
             for cell in self.cells()
         ]
 
+    def _task_graph(self) -> TaskGraph | None:
+        """:meth:`tasks` as a cell-indexed graph, or ``None`` if malformed.
+
+        Cell ``i`` is the ``i``-th cell of :meth:`cells`; a dependency is
+        found through per-stage, per-kind microbatch tables instead of by
+        name.  Stage orders that do not hold each (kind, microbatch) cell of
+        their own stage at most once, that leave an ``F`` or ``B`` cell out,
+        or that carry a negative duration or delay give ``None``.
+        """
+        num_stages = self.num_stages
+        microbatches = self.num_microbatches
+        if len(self.stage_orders) != num_stages or min(self.fwd_delay, self.bwd_delay) < 0:
+            return None
+        # index[kind][stage][microbatch] -> cell index (-1: no such cell).
+        index = {
+            kind: [[-1] * microbatches for _ in range(num_stages)] for kind in _CELL_CATEGORIES
+        }
+        columns = []
+        position = 0
+        for stage, order in enumerate(self.stage_orders):
+            if not order:
+                continue
+            cell_stages, mbs, kinds, durations = zip(*order)
+            present = set(kinds)
+            if (cell_stages.count(stage) != len(order) or min(durations) < 0
+                    or not present <= _CELL_CATEGORIES.keys()
+                    or min(mbs) < 0 or max(mbs) >= microbatches):
+                return None
+            tables = {kind: index[kind][stage] for kind in present}
+            for kind, mb in zip(kinds, mbs):
+                table = tables[kind]
+                if table[mb] >= 0:
+                    return None
+                table[mb] = position
+                position += 1
+            columns.append((stage, kinds, mbs, durations, present))
+        # Every dependency points at an F or B cell, so full F/B tables
+        # guarantee that every dependency resolves.
+        if any(-1 in table for kind in "FB" for table in index[kind]):
+            return None
+
+        last = num_stages - 1
+        names: list[str] = []
+        resources: list[str] = []
+        all_durations: list[float] = []
+        categories: list[KernelCategory] = []
+        deps: list[tuple[tuple[int, float], ...]] = []
+        for stage, kinds, mbs, durations, present in columns:
+            # Per kind, the dependency list of each microbatch's cell.
+            waits = {}
+            for kind in present:
+                rule = _dependency_rule(kind, stage, last, self.fwd_delay, self.bwd_delay)
+                edges = [zip(index[dep_kind][dep_stage], repeat(delay))
+                         for dep_kind, dep_stage, delay in rule]
+                waits[kind] = list(zip(*edges)) if edges else [()] * microbatches
+            names += [f"{kind}{mb}@s{stage}" for kind, mb in zip(kinds, mbs)]
+            resources += [f"stage{stage}"] * len(kinds)
+            all_durations += durations
+            categories += map(_CELL_CATEGORIES.__getitem__, kinds)
+            deps += [waits[kind][mb] for kind, mb in zip(kinds, mbs)]
+        return TaskGraph(names, resources, all_durations, categories, deps)
+
     def replay(self, record_trace: bool = False) -> ReplayResult:
-        """Greedy list-scheduled execution of :meth:`tasks`."""
-        return replay_tasks(self.tasks(), record_trace=record_trace)
+        """Greedy list-scheduled execution of the stage orders.
+
+        Identical to replaying :meth:`tasks`, which a malformed schedule
+        falls back to so that it raises the replay's own error.
+        """
+        graph = self._task_graph()
+        return replay_tasks(self.tasks() if graph is None else graph, record_trace=record_trace)
 
     def useful_work(self) -> float:
         """Total F+B+W compute across all stages (recomputation excluded)."""
@@ -247,87 +339,117 @@ def one_f_one_b_schedule(
 _ZB_POLICIES = ("defer", "eager", "inline")
 
 
+@lru_cache(maxsize=64)
+def _one_f_one_b_runs(num_stages: int, microbatches: int) -> tuple[tuple[int, int, int], ...]:
+    """``(stage, first, stop)`` slices of the 1F1B orders in dependency order.
+
+    Visiting the stages round-robin, each stage runs through its order until
+    it reaches a cell that waits for a cell not yet visited.  Replaying the
+    slices in sequence therefore reaches every cell after the cells it waits
+    for.  The slices depend only on the pipeline shape, not on costs.
+    """
+    orders = _one_f_one_b_orders(num_stages, microbatches)
+    last = num_stages - 1
+    placed = {kind: [[False] * microbatches for _ in range(num_stages)] for kind in "FB"}
+    waits = [
+        {
+            kind: [placed[dep_kind][dep_stage] for dep_kind, dep_stage, _ in
+                   _dependency_rule(kind, stage, last, 0.0, 0.0)]
+            for kind in "FB"
+        }
+        for stage in range(num_stages)
+    ]
+    heads = [0] * num_stages
+    runs = []
+    remaining = sum(map(len, orders))
+    while remaining:
+        progressed = False
+        for stage, order in enumerate(orders):
+            head = first = heads[stage]
+            while head < len(order):
+                kind, mb = order[head]
+                if not all(table[mb] for table in waits[stage][kind]):
+                    break
+                placed[kind][stage][mb] = True
+                head += 1
+            if head > first:
+                runs.append((stage, first, head))
+                heads[stage] = head
+                remaining -= head - first
+                progressed = True
+        if not progressed:  # pragma: no cover - the 1F1B order is feasible
+            raise RuntimeError("1F1B order stalled (infeasible order)")
+    return tuple(runs)
+
+
 def _zero_bubble_candidate(
     stages: tuple[StageCostVector, ...],
     microbatches: int,
     fwd_delay: float,
     bwd_delay: float,
     policy: str,
-) -> tuple[float, Schedule]:
-    """List-schedule the split backward under one W-placement policy."""
+) -> tuple[float, list[list[tuple[str, int, float]]]]:
+    """List-schedule the split backward under one W-placement policy.
+
+    Returns the step time and each stage's order as ``(kind, microbatch,
+    duration)`` tuples.
+    """
     num_stages = len(stages)
     last = num_stages - 1
     fb_orders = _one_f_one_b_orders(num_stages, microbatches)
-
-    ends: dict[tuple[str, int, int], float] = {}  # (kind, stage, mb) -> end
+    # ends[kind][stage][microbatch]: end time of a placed F/B cell.
+    ends = {kind: [[None] * microbatches for _ in range(num_stages)] for kind in "FB"}
     free = [0.0] * num_stages
-    heads = [0] * num_stages
-    pending_w: list[list[int]] = [[] for _ in range(num_stages)]
-    orders: list[list[Cell]] = [[] for _ in range(num_stages)]
-
-    def place(stage: int, kind: str, mb: int, duration: float, start: float) -> None:
-        orders[stage].append(Cell(stage, mb, kind, duration))
-        ends[(kind, stage, mb)] = start + duration
-        free[stage] = start + duration
-
-    remaining = sum(len(order) for order in fb_orders)
-    while remaining:
-        progressed = False
-        for stage in range(num_stages):
-            cost = stages[stage]
-            while heads[stage] < len(fb_orders[stage]):
-                kind, mb = fb_orders[stage][heads[stage]]
-                if kind == "F":
-                    dep_keys = [("F", stage - 1, mb)] if stage > 0 else []
-                    delays = [fwd_delay]
-                    duration = cost.forward
+    pending_w: list[deque[int]] = [deque() for _ in range(num_stages)]
+    orders: list[list[tuple[str, int, float]]] = [[] for _ in range(num_stages)]
+    defer = policy == "defer"
+    inline = policy == "inline"
+    # Per stage and kind: (end table, delay) of each cell a cell waits for,
+    # the cell duration (a B cell carries only dgrad) and its own end table.
+    plans = []
+    for stage, cost in enumerate(stages):
+        plan = {}
+        for kind, duration in (("F", cost.forward), ("B", cost.dgrad)):
+            rule = _dependency_rule(kind, stage, last, fwd_delay, bwd_delay)
+            waits = [(ends[dep_kind][dep_stage], delay) for dep_kind, dep_stage, delay in rule]
+            plan[kind] = (waits, duration, ends[kind][stage])
+        plans.append(plan)
+    # A stage's placements depend only on its own order and on the end times
+    # of the cells it waits for, so any visit order that reaches those cells
+    # first yields the same schedule.
+    for stage, first, stop in _one_f_one_b_runs(num_stages, microbatches):
+        plan = plans[stage]
+        order = orders[stage]
+        pending = pending_w[stage]
+        wgrad = stages[stage].wgrad
+        clock = free[stage]
+        for kind, mb in fb_orders[stage][first:stop]:
+            waits, duration, own_ends = plan[kind]
+            ready = max([table[mb] + delay for table, delay in waits], default=0.0)
+            # Fill the gap in front of this cell with deferred W work:
+            # `defer` only when the W provably cannot delay the cell, `eager`
+            # whenever the stage would otherwise idle (inline keeps no pool,
+            # so its loop never runs).
+            while pending and (clock + wgrad <= ready if defer else clock < ready):
+                order.append(("W", pending.popleft(), wgrad))
+                clock += wgrad
+            clock = (ready if ready > clock else clock) + duration
+            order.append((kind, mb, duration))
+            own_ends[mb] = clock
+            if kind == "B":
+                if inline:
+                    order.append(("W", mb, wgrad))
+                    clock += wgrad
                 else:
-                    dep_keys = [("F", stage, mb)]
-                    delays = [0.0]
-                    if stage < last:
-                        dep_keys.append(("B", stage + 1, mb))
-                        delays.append(bwd_delay)
-                    duration = cost.dgrad
-                if any(key not in ends for key in dep_keys):
-                    break
-                ready = max(
-                    (ends[key] + delay for key, delay in zip(dep_keys, delays)),
-                    default=0.0,
-                )
-                # Fill the gap in front of this cell with deferred W work:
-                # `defer` only when the W provably cannot delay the cell,
-                # `eager` whenever the stage would otherwise idle (inline
-                # keeps no pool, so its loop never runs).
-                while pending_w[stage] and (
-                    free[stage] + cost.wgrad <= ready
-                    if policy == "defer"
-                    else free[stage] < ready
-                ):
-                    place(stage, "W", pending_w[stage].pop(0), cost.wgrad, free[stage])
-                place(stage, kind, mb, duration, max(free[stage], ready))
-                if kind == "B":
-                    if policy == "inline":
-                        place(stage, "W", mb, cost.wgrad, free[stage])
-                    else:
-                        pending_w[stage].append(mb)
-                heads[stage] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:  # pragma: no cover - the 1F1B order is feasible
-            raise RuntimeError("zero-bubble generation stalled (infeasible order)")
+                    pending.append(mb)
+        free[stage] = clock
     for stage in range(num_stages):
+        wgrad = stages[stage].wgrad
         for mb in pending_w[stage]:
-            place(stage, "W", mb, stages[stage].wgrad, free[stage])
-    schedule = Schedule(
-        name="zero-bubble",
-        num_stages=num_stages,
-        num_microbatches=microbatches,
-        stage_orders=tuple(tuple(order) for order in orders),
-        fwd_delay=fwd_delay,
-        bwd_delay=bwd_delay,
-        split_backward=True,
-    )
-    return max(ends.values(), default=0.0), schedule
+            orders[stage].append(("W", mb, wgrad))
+            free[stage] += wgrad
+    # Stage clocks only move forward, so each stage's last end is its latest.
+    return max(free), orders
 
 
 def zero_bubble_schedule(
@@ -347,14 +469,25 @@ def zero_bubble_schedule(
     time -- and therefore the bubble ratio -- is never worse than 1F1B's.
     """
     _check_costs(stages, microbatches)
-    best: tuple[float, Schedule] | None = None
+    best_step, best_orders = None, None
     for policy in _ZB_POLICIES:
-        step, candidate = _zero_bubble_candidate(
+        step, orders = _zero_bubble_candidate(
             stages, microbatches, fwd_delay, bwd_delay, policy
         )
-        if best is None or step < best[0]:
-            best = (step, candidate)
-    return best[1]
+        if best_step is None or step < best_step:
+            best_step, best_orders = step, orders
+    return Schedule(
+        name="zero-bubble",
+        num_stages=len(stages),
+        num_microbatches=microbatches,
+        stage_orders=tuple(
+            tuple(Cell(stage, mb, kind, duration) for kind, mb, duration in order)
+            for stage, order in enumerate(best_orders)
+        ),
+        fwd_delay=fwd_delay,
+        bwd_delay=bwd_delay,
+        split_backward=True,
+    )
 
 
 #: Schedule slug -> generator, in canonical (bubble-decreasing) order.

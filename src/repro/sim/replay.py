@@ -20,6 +20,12 @@ event-by-event replay completes them (see :func:`_trace`).  The event-driven
 oracle the sweep is checked against, span for span and trace order included,
 lives in ``tests/reference/replay.py``.
 
+The sweep runs on a :class:`TaskGraph`: tasks addressed by list index, with
+``(index, delay)`` dependency lists.  :func:`replay_tasks` takes either such
+a graph (callers that already know their task indices, like the pipeline
+schedules, build it directly) or a list of named :class:`ReplayTask` objects,
+whose dependency names the sweep resolves as it goes.
+
 The result carries per-task spans, per-resource busy times and a
 :class:`~repro.sim.trace.Trace` (one stream per resource) ready for Chrome
 trace export.  An order that can never make progress (a dependency cycle
@@ -28,16 +34,16 @@ through the resource orders) raises instead of hanging.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, sub
 from typing import Protocol
 
 from repro.gpu.kernels import KernelCategory
-from repro.sim.trace import Trace
+from repro.sim.trace import Span, Trace
 
-__all__ = ["ReplayTask", "ReplayResult", "SpeedProfile", "replay_tasks"]
+__all__ = ["ReplayTask", "ReplayResult", "SpeedProfile", "TaskGraph", "replay_tasks"]
 
 
 class SpeedProfile(Protocol):
@@ -121,13 +127,39 @@ class ReplayResult:
         return self.makespan - self.work[resource]
 
 
+@dataclass(slots=True)
+class TaskGraph:
+    """Replay input addressed by task index: task ``i`` is ``names[i]``.
+
+    Task ``i`` runs on ``resources[i]`` for ``durations[i]`` seconds, is
+    drawn as ``categories[i]``, and waits for every ``(key, delay)`` in
+    ``deps[i]``: the task the key addresses finished, plus ``delay``.  A key
+    is a task index or, when ``index`` is given, a key of ``index``, which
+    maps it to one (:func:`replay_tasks` resolves task names this way while
+    it sweeps).  The builder vouches for unique names and non-negative
+    durations and delays.  ``len()`` is the task count.
+    """
+
+    names: Sequence[str]
+    resources: Sequence[str]
+    durations: Sequence[float]
+    categories: Sequence[KernelCategory]
+    deps: Sequence[Sequence[tuple[Hashable, float]]]
+    index: Mapping[Hashable, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
 def replay_tasks(
-    tasks: list[ReplayTask],
+    tasks: list[ReplayTask] | TaskGraph,
     record_trace: bool = False,
     resource_profiles: Mapping[str, SpeedProfile] | None = None,
 ) -> ReplayResult:
     """Replay ``tasks`` (FIFO per resource, dependency-gated).
 
+    ``tasks`` is a :class:`TaskGraph` or a list of :class:`ReplayTask`
+    objects, which replays as the graph of their names.
     ``resource_profiles`` optionally maps a resource name to a
     :class:`SpeedProfile`; that resource's tasks then take
     ``profile.finish_time(start, duration) - start`` wall-clock seconds
@@ -135,16 +167,13 @@ def replay_tasks(
     profiles change nothing).  ``record_trace`` also builds
     :attr:`ReplayResult.trace`.
     """
-    n = len(tasks)
-    names = [task.name for task in tasks]
-    index = dict(zip(names, range(n)))
-    if len(index) != n:
-        _validate(tasks)  # raises the duplicate-name error
-    durations = [task.duration for task in tasks]
+    graph = tasks if isinstance(tasks, TaskGraph) else _named_graph(tasks)
+    names = graph.names
+    durations = graph.durations
     profiles = resource_profiles or {}
-    profile_of = [profiles.get(task.resource) for task in tasks] if profiles else None
+    profile_of = [profiles.get(resource) for resource in graph.resources] if profiles else None
 
-    starts, ends, queues, out, chain_next = _sweep(tasks, names, index, durations, profile_of)
+    starts, ends, queues, out, chain_next = _sweep(graph, profile_of)
 
     # Left-fold python floats in queue order over C-speed gathers, so the
     # aggregates are stable plain floats.
@@ -163,66 +192,70 @@ def replay_tasks(
         makespan=max(ends) if ends else 0.0,
         spans=dict(zip(names, zip(starts, ends))),
         resources=list(queues),
-        trace=_trace(tasks, starts, ends, queues, out, chain_next) if record_trace else None,
+        trace=_trace(graph, starts, ends, queues, out, chain_next) if record_trace else None,
         busy=busy,
         work=work,
     )
 
 
-def _validate(tasks: list[ReplayTask]) -> None:
-    by_name = set()
-    for task in tasks:
-        if task.name in by_name:
-            raise ValueError(f"duplicate task name {task.name!r}")
-        by_name.add(task.name)
-    for task in tasks:
-        for dep, _ in task.deps:
-            if dep not in by_name:
-                raise ValueError(f"task {task.name!r} depends on unknown task {dep!r}")
+def _named_graph(tasks: list[ReplayTask]) -> TaskGraph:
+    """The :class:`TaskGraph` of a task list, its dependencies keyed by name."""
+    names = [task.name for task in tasks]
+    index = dict(zip(names, range(len(names))))
+    if len(index) != len(names):
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise ValueError(f"duplicate task name {name!r}")
+            seen.add(name)
+    return TaskGraph(
+        names=names,
+        resources=[task.resource for task in tasks],
+        durations=[task.duration for task in tasks],
+        categories=[task.category for task in tasks],
+        deps=[task.deps for task in tasks],
+        index=index,
+    )
 
 
-def _sweep(
-    tasks: list[ReplayTask],
-    names: list[str],
-    index: dict[str, int],
-    durations: list[float],
-    profile_of: list[SpeedProfile | None] | None,
-):
+def _sweep(graph: TaskGraph, profile_of: list[SpeedProfile | None] | None):
     """Fused Kahn sweep: ``(starts, ends, queues, out-edges, chain edges)``.
 
     Every task starts at the max of its predecessors' ``end + delay``, where
     the previous task on the same resource is a zero-delay predecessor
     (``end + 0.0 == end`` exactly, so the chain edges are float-transparent).
     """
-    n = len(tasks)
+    n = len(graph)
+    durations = graph.durations
     out: list[list[tuple[int, float]] | None] = [None] * n
     chain_next = [-1] * n
     indeg = [0] * n
     ready = [0.0] * n
     ends = [0.0] * n
     queues: dict[str, list[int]] = {}
+    lookup = range(n) if graph.index is None else graph.index
     try:
-        for i, task in enumerate(tasks):
-            deps = task.deps
+        for i, (deps, resource) in enumerate(zip(graph.deps, graph.resources)):
             if deps:
                 indeg[i] = len(deps)
                 for dep, delay in deps:
-                    j = index[dep]
+                    j = lookup[dep]
                     edges = out[j]
                     if edges is None:
                         out[j] = [(i, delay)]
                     else:
                         edges.append((i, delay))
-            queue = queues.get(task.resource)
+            queue = queues.get(resource)
             if queue is None:
-                queues[task.resource] = [i]
+                queues[resource] = [i]
             else:
                 chain_next[queue[-1]] = i
                 indeg[i] += 1
                 queue.append(i)
-    except KeyError:
-        _validate(tasks)  # raises the unknown-dependency error
-        raise
+    except LookupError:
+        raise ValueError(
+            f"task {graph.names[i]!r} depends on unknown task {dep!r}"
+        ) from None
 
     stack = [i for i in range(n) if not indeg[i]]
     pop = stack.pop
@@ -285,7 +318,7 @@ def _sweep(
 
     if resolved < n:
         # The first unresolved task of each queue is the head it is stuck on.
-        stuck = [names[next(i for i in queue if indeg[i])]
+        stuck = [graph.names[next(i for i in queue if indeg[i])]
                  for queue in queues.values() if indeg[queue[-1]]]
         raise RuntimeError(
             f"replay deadlocked: tasks {stuck} wait on dependencies that can "
@@ -295,7 +328,7 @@ def _sweep(
 
 
 def _trace(
-    tasks: list[ReplayTask],
+    graph: TaskGraph,
     starts: list[float],
     ends: list[float],
     queues: dict[str, list[int]],
@@ -313,8 +346,8 @@ def _trace(
     scan (position -1).  One task per resource can start per scan, so the key
     is unique.
     """
-    pending = [len(task.deps) for task in tasks]
-    rank = [0] * len(tasks)
+    pending = list(map(len, graph.deps))
+    rank = [0] * len(graph)
     heap = []
     for r, queue in enumerate(queues.values()):
         for i in queue:
@@ -327,12 +360,12 @@ def _trace(
     heapify(heap)
 
     trace = Trace()
-    record = trace.record
+    append = trace.spans.append
+    names, resources, categories = graph.names, graph.resources, graph.categories
     position = 0
     while heap:
         end, _, _, u = heappop(heap)
-        task = tasks[u]
-        record(task.resource, task.name, starts[u], end, task.category)
+        append(Span(resources[u], names[u], starts[u], end, categories[u]))
         successors = [v for v, _ in out[u] or ()]
         if chain_next[u] >= 0:
             successors.append(chain_next[u])

@@ -1,8 +1,12 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.cluster import ClusterSpec
+from repro.plan import ParallelismPlan
 
 
 class TestReportCommand:
@@ -278,3 +282,46 @@ class TestErrorBoundary:
         err = capfd.readouterr().err
         assert f"repro {argv[0]}: error: " in err
         assert "Traceback" not in err
+
+
+class TestPlanFileValidation:
+    """`repro pp --plan` rejects a bad plan document by field, exit 2, no traceback."""
+
+    @staticmethod
+    def _plan() -> dict:
+        return ParallelismPlan(
+            workload="llama3-training", tokens=4096, layers=4, cluster=ClusterSpec(gpus=8),
+            tp=4, stages=2, microbatches=4, partition=(2, 2), schedule="1f1b",
+            method="overlap", seed=0,
+        ).to_dict()
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("schedule", "dualpipe"),
+            ("workload", "gpt-9"),
+            ("method", "bogus"),
+            ("tp", None),  # None: the field is missing
+            ("workload", None),
+        ],
+    )
+    def test_bad_field_exits_2_and_names_it(self, field, value, capfd, tmp_path):
+        plan = self._plan()
+        if value is None:
+            del plan[field]
+        else:
+            plan[field] = value
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        assert main(["pp", "--plan", str(path)]) == 2
+        err = capfd.readouterr().err
+        assert "repro pp: error: " in err
+        assert repr(field) in err
+        assert "Traceback" not in err
+
+    def test_plan_must_be_an_object(self, capfd, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["pp", "--plan", str(path)]) == 2
+        err = capfd.readouterr().err
+        assert "a plan must be a JSON object" in err and "Traceback" not in err

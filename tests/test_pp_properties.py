@@ -13,7 +13,10 @@ must satisfy:
 * the replayed step time equals the critical path recomputed independently
   from the cell DAG (bit-equal: both are max/+ folds over the same values);
 * generation is deterministic and conserves cells (M forwards, M backwards
-  and -- for the split schedule -- M weight-gradient cells per stage).
+  and -- for the split schedule -- M weight-gradient cells per stage);
+* scoring conserves time: under every execution method the bubble ratio is
+  in [0, 1), no stage is busy for longer than the step, and no stage idles
+  for a negative time.
 
 The suite is pure scheduling (no tuner, no plan store), so hypothesis can
 afford many examples.
@@ -24,6 +27,8 @@ from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
 from reference.schedule import critical_path
+from repro.pp.estimator import _score
+from repro.pp.pricing import METHODS
 from repro.pp.schedule import (
     KNOWN_SCHEDULES,
     StageCostVector,
@@ -153,3 +158,33 @@ def test_generation_is_deterministic_and_conserves_cells(model):
             assert kinds.count("B") == microbatches
             assert kinds.count("W") == (microbatches if first.split_backward else 0)
             assert all(cell.stage == stage for cell in order)
+
+
+#: Float slack of the busy/idle checks, relative to the step: a stage's busy
+#: time is a left fold of its cell durations while the step is a chain of
+#: ``start + duration`` sums, so on a stage with no gaps the two may differ
+#: by a few ulps.
+CONSERVATION_RTOL = 1e-12
+#: Per-method cost scale: the execution methods price the same cells at
+#: different speeds.
+SCALES = st.floats(min_value=0.25, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(model=cost_models(), scales=st.tuples(*[SCALES] * len(METHODS)))
+def test_bubble_ratio_and_stage_time_are_conserved(model, scales):
+    costs, microbatches, fwd_delay, bwd_delay = model
+    for method, scale in zip(METHODS, scales):
+        scaled = tuple(
+            StageCostVector(c.forward * scale, c.dgrad * scale, c.wgrad * scale) for c in costs
+        )
+        for name in KNOWN_SCHEDULES:
+            schedule = generate_schedule(name, scaled, microbatches, fwd_delay, bwd_delay)
+            scored = _score(schedule, schedule.replay(), method)
+            step = scored.step_latency
+            slack = CONSERVATION_RTOL * step
+            assert 0.0 <= scored.bubble_ratio < 1.0, (name, method)
+            assert len(scored.stage_busy) == len(scored.stage_idle) == len(costs)
+            for busy, idle in zip(scored.stage_busy, scored.stage_idle):
+                assert busy <= step + slack, (name, method)
+                assert idle >= -slack, (name, method)
