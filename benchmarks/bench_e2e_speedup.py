@@ -15,10 +15,9 @@ machine-readable ``BENCH_e2e.json``:
 * **reuse structure**: plan-store hit rate and tuner invocations per lookup
   (repeated layers and shared shapes must produce hits).
 
-``--check`` compares the speedup ratios against a committed baseline
-(``benchmarks/BENCH_e2e_baseline.json``) and exits non-zero on a >2x
-regression; ratios rather than absolute times are compared so the gate is
-portable across CI machines.
+``--check`` gates the speedup ratios against the committed
+``benchmarks/BENCH_e2e_baseline.json`` (command line, report and gate rule:
+``benchmarks/harness.py``).
 
 Usage::
 
@@ -29,28 +28,13 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
-from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
-import numpy as np
-
+import harness
 from repro import obs
-from repro.atomic import atomic_write_text
 from repro.core.config import OverlapSettings
 from repro.e2e import estimate_models
-
-DEFAULT_OUT = Path(__file__).resolve().parent / "output" / "BENCH_e2e.json"
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_e2e_baseline.json"
-
-#: Fail --check when a speedup ratio drops below baseline / REGRESSION_FACTOR.
-REGRESSION_FACTOR = 2.0
 
 
 def _run(smoke: bool, reuse: bool):
@@ -96,7 +80,7 @@ def bench_plan_reuse(smoke: bool) -> tuple[dict, bool, bool]:
         # "speedup" so the --check gate (which compares every speedup ratio)
         # never fails on machine-load jitter; the gated ratios are the
         # deterministic simulated speedups below.
-        "wall_speedup": unreused_s / reused_s,
+        "wall_ratio": unreused_s / reused_s,
     }, transparent, hits_seen
 
 
@@ -122,61 +106,14 @@ def bench_e2e_speedups(smoke: bool) -> tuple[dict, bool, bool]:
     return per_workload, deterministic, all_speed_up
 
 
-def _walk_speedups(metrics: dict, prefix: str = "") -> dict[str, float]:
-    """Flatten every ``speedup`` ratio in the metrics tree."""
-    found: dict[str, float] = {}
-    for key, value in metrics.items():
-        if isinstance(value, dict):
-            found.update(_walk_speedups(value, f"{prefix}{key}."))
-        elif key in ("speedup", "bound_speedup"):
-            found[f"{prefix}{key}"] = float(value)
-    return found
-
-
-def check_regressions(report: dict, baseline_path: Path) -> list[str]:
-    """Speedup ratios that regressed >2x vs the committed baseline."""
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    current = _walk_speedups(report["metrics"])
-    reference = _walk_speedups(baseline.get("metrics", {}))
-    failures = []
-    for name, ref_value in reference.items():
-        cur_value = current.get(name)
-        if cur_value is None:
-            failures.append(f"{name}: missing from current report (baseline {ref_value:.2f}x)")
-        elif cur_value < ref_value / REGRESSION_FACTOR:
-            failures.append(
-                f"{name}: {cur_value:.2f}x is a >{REGRESSION_FACTOR:g}x regression "
-                f"vs baseline {ref_value:.2f}x"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run (2 layers per model)")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="report JSON path")
-    parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE, help="committed baseline JSON"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=f"exit non-zero on a >{REGRESSION_FACTOR:g}x speedup regression vs the baseline",
-    )
-    args = parser.parse_args(argv)
-
-    with obs.observe() as obs_session:
-        with obs.span("plan_reuse"):
-            reuse, reuse_transparent, hits_seen = bench_plan_reuse(args.smoke)
-        with obs.span("workloads"):
-            workloads, deterministic, all_speed_up = bench_e2e_speedups(args.smoke)
-    report = {
-        "meta": {
-            "smoke": args.smoke,
-            "workloads": sorted(workloads),
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+def collect(smoke: bool) -> dict:
+    """The e2e report's meta, metrics and checks."""
+    with obs.span("plan_reuse"):
+        reuse, reuse_transparent, hits_seen = bench_plan_reuse(smoke)
+    with obs.span("workloads"):
+        workloads, deterministic, all_speed_up = bench_e2e_speedups(smoke)
+    return {
+        "meta": {"workloads": sorted(workloads)},
         "metrics": {
             "plan_reuse": reuse,
             "workloads": workloads,
@@ -188,37 +125,16 @@ def main(argv: list[str] | None = None) -> int:
             "fewer_tunes_than_lookups": reuse["tuner_invocations_reused"] < reuse["lookups"],
             "every_workload_speeds_up": all_speed_up,
         },
-        "observability": obs_session.snapshot(command="bench_e2e_speedup").to_dict(),
     }
 
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
 
-    print(f"wrote {args.out}")
-    print(f"  {'plan_reuse.wall_speedup (not gated)':60s} {reuse['wall_speedup']:8.2f}x")
-    for name, value in _walk_speedups(report["metrics"]).items():
-        print(f"  {name:60s} {value:8.2f}x")
-    print(f"  {'tuner invocations / lookup':60s} "
-          f"{reuse['tuner_invocations_per_lookup']:8.4f}")
-    for name, ok in report["checks"].items():
-        print(f"  {name:60s} {'ok' if ok else 'FAILED'}")
-
-    failed = [name for name, ok in report["checks"].items() if not ok]
-    if failed:
-        print(f"e2e checks failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    if args.check:
-        if not args.baseline.exists():
-            print(f"baseline {args.baseline} missing; cannot --check", file=sys.stderr)
-            return 1
-        failures = check_regressions(report, args.baseline)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print(f"no >{REGRESSION_FACTOR:g}x regressions vs {args.baseline}")
-    return 0
+def summary(report: dict) -> list[str]:
+    reuse = report["metrics"]["plan_reuse"]
+    return [
+        f"plan_reuse.wall_ratio (not gated): {reuse['wall_ratio']:.2f}x",
+        f"tuner invocations / lookup: {reuse['tuner_invocations_per_lookup']:.4f}",
+    ]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main("e2e", collect, summary))

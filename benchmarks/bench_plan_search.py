@@ -17,10 +17,9 @@ server and emits a machine-readable ``BENCH_plan.json``:
   searches are bit-identical, and the winner replays bit-identically
   through the ``repro pp`` / ``repro e2e`` paths.
 
-``--check`` compares every ``*speedup*`` ratio against a committed baseline
-(``benchmarks/BENCH_plan_baseline.json``) and exits non-zero on a >2x
-regression; ratios rather than absolute times are compared so the gate is
-portable across CI machines.
+``--check`` gates every ``*speedup*`` ratio against the committed
+``benchmarks/BENCH_plan_baseline.json`` (command line, report and gate rule:
+``benchmarks/harness.py``).
 
 Usage::
 
@@ -31,29 +30,12 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
-import numpy as np
-
+import harness
 from repro import obs
-from repro.atomic import atomic_write_text
 from repro.cluster import ClusterSpec
 from repro.plan import dominates, search_plan, verify_replay
 
-DEFAULT_OUT = Path(__file__).resolve().parent / "output" / "BENCH_plan.json"
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_plan_baseline.json"
-
 WORKLOAD = "llama3-training"
-
-#: Fail --check when a speedup ratio drops below baseline / REGRESSION_FACTOR.
-REGRESSION_FACTOR = 2.0
 
 
 def _space(smoke: bool) -> dict:
@@ -122,95 +104,26 @@ def bench_search(smoke: bool) -> tuple[dict, dict]:
     return metrics, checks
 
 
-def _walk_speedups(metrics: dict, prefix: str = "") -> dict[str, float]:
-    """Flatten every ``*speedup*`` ratio in the metrics tree."""
-    found: dict[str, float] = {}
-    for key, value in metrics.items():
-        if isinstance(value, dict):
-            found.update(_walk_speedups(value, f"{prefix}{key}."))
-        elif isinstance(value, (int, float)) and "speedup" in key:
-            found[f"{prefix}{key}"] = float(value)
-    return found
-
-
-def check_regressions(report: dict, baseline_path: Path) -> list[str]:
-    """Speedup ratios that regressed >2x vs the committed baseline."""
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    current = _walk_speedups(report["metrics"])
-    reference = _walk_speedups(baseline.get("metrics", {}))
-    failures = []
-    for name, ref_value in reference.items():
-        cur_value = current.get(name)
-        if cur_value is None:
-            failures.append(f"{name}: missing from current report (baseline {ref_value:.2f}x)")
-        elif cur_value < ref_value / REGRESSION_FACTOR:
-            failures.append(
-                f"{name}: {cur_value:.2f}x is a >{REGRESSION_FACTOR:g}x regression "
-                f"vs baseline {ref_value:.2f}x"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="CI-sized space (4 layers)")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="report JSON path")
-    parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE, help="committed baseline JSON"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=f"exit non-zero on a >{REGRESSION_FACTOR:g}x speedup regression vs the baseline",
-    )
-    args = parser.parse_args(argv)
-
-    with obs.observe() as obs_session:
-        with obs.span("search"):
-            metrics, checks = bench_search(args.smoke)
-    report = {
-        "meta": {
-            "smoke": args.smoke,
-            "workload": WORKLOAD,
-            "cluster": ClusterSpec(gpus=8).to_dict(),
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+def collect(smoke: bool) -> dict:
+    """The plan report's meta, metrics and checks."""
+    with obs.span("search"):
+        metrics, checks = bench_search(smoke)
+    return {
+        "meta": {"workload": WORKLOAD, "cluster": ClusterSpec(gpus=8).to_dict()},
         "metrics": metrics,
         "checks": checks,
-        "observability": obs_session.snapshot(command="bench_plan_search").to_dict(),
     }
 
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
 
-    print(f"wrote {args.out}")
-    search = metrics["search"]
-    print(f"  search: {search['evaluated']}/{search['batches']} batches priced "
-          f"({search['pruned']} pruned), {search['points']} points, "
-          f"{search['store_hit_rate'] * 100:.1f}% store hits")
-    print(f"  winner: {metrics['winner']['config']}")
-    for name, value in sorted(_walk_speedups(metrics).items()):
-        print(f"  {name:50s} {value:8.3f}x")
-    for name, ok in checks.items():
-        print(f"  {name:50s} {'ok' if ok else 'FAILED'}")
-
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed:
-        print(f"plan checks failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    if args.check:
-        if not args.baseline.exists():
-            print(f"baseline {args.baseline} missing; cannot --check", file=sys.stderr)
-            return 1
-        failures = check_regressions(report, args.baseline)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print(f"no >{REGRESSION_FACTOR:g}x regressions vs {args.baseline}")
-    return 0
+def summary(report: dict) -> list[str]:
+    search = report["metrics"]["search"]
+    return [
+        f"search: {search['evaluated']}/{search['batches']} batches priced "
+        f"({search['pruned']} pruned), {search['points']} points, "
+        f"{search['store_hit_rate'] * 100:.1f}% store hits",
+        f"winner: {report['metrics']['winner']['config']}",
+    ]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main("plan", collect, summary))

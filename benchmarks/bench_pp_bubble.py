@@ -19,10 +19,9 @@ and emits a machine-readable ``BENCH_pp.json``:
   ``tests/reference/replay.py`` on large pipeline schedules and wide
   synthetic DAGs, asserting the two are bit-identical.
 
-``--check`` compares every ``*speedup*`` ratio against a committed baseline
-(``benchmarks/BENCH_pp_baseline.json``) and exits non-zero on a >2x
-regression; ratios rather than absolute times are compared so the gate is
-portable across CI machines.
+``--check`` gates every ``*speedup*`` ratio against the committed
+``benchmarks/BENCH_pp_baseline.json`` (command line, report and gate rule:
+``benchmarks/harness.py``).
 
 Usage::
 
@@ -33,22 +32,12 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
-from pathlib import Path
 
-_ROOT = Path(__file__).resolve().parent.parent
-for _path in (_ROOT / "tests", _ROOT / "src"):  # tests/ holds the reference oracles
-    if str(_path) not in sys.path:
-        sys.path.insert(0, str(_path))
-
-import numpy as np
-
+import harness
 from reference.replay import replay_reference
 from repro import obs
-from repro.atomic import atomic_write_text
 from repro.core.config import OverlapSettings
 from repro.e2e import EndToEndEstimator
 from repro.pp import PipelineEstimator
@@ -57,13 +46,7 @@ from repro.sim.replay import ReplayTask, replay_tasks
 from repro.workloads.e2e import build_workload
 from repro.workloads.pipeline import build_pipeline_workload
 
-DEFAULT_OUT = Path(__file__).resolve().parent / "output" / "BENCH_pp.json"
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_pp_baseline.json"
-
 WORKLOAD = "llama3-training"
-
-#: Fail --check when a speedup ratio drops below baseline / REGRESSION_FACTOR.
-REGRESSION_FACTOR = 2.0
 
 
 def _grid(smoke: bool) -> tuple[int, list[int], list[int]]:
@@ -245,64 +228,16 @@ def bench_checks(smoke: bool) -> dict:
     }
 
 
-def _walk_speedups(metrics: dict, prefix: str = "") -> dict[str, float]:
-    """Flatten every ``*speedup*`` ratio in the metrics tree."""
-    found: dict[str, float] = {}
-    for key, value in metrics.items():
-        if isinstance(value, dict):
-            found.update(_walk_speedups(value, f"{prefix}{key}."))
-        elif "speedup" in key or prefix.rstrip(".").endswith("speedup"):
-            found[f"{prefix}{key}"] = float(value)
-    return found
-
-
-def check_regressions(report: dict, baseline_path: Path) -> list[str]:
-    """Speedup ratios that regressed >2x vs the committed baseline."""
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    current = _walk_speedups(report["metrics"])
-    reference = _walk_speedups(baseline.get("metrics", {}))
-    failures = []
-    for name, ref_value in reference.items():
-        cur_value = current.get(name)
-        if cur_value is None:
-            failures.append(f"{name}: missing from current report (baseline {ref_value:.2f}x)")
-        elif cur_value < ref_value / REGRESSION_FACTOR:
-            failures.append(
-                f"{name}: {cur_value:.2f}x is a >{REGRESSION_FACTOR:g}x regression "
-                f"vs baseline {ref_value:.2f}x"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="CI-sized grid (4 layers)")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="report JSON path")
-    parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE, help="committed baseline JSON"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=f"exit non-zero on a >{REGRESSION_FACTOR:g}x speedup regression vs the baseline",
-    )
-    args = parser.parse_args(argv)
-
-    with obs.observe() as obs_session:
-        with obs.span("grid"):
-            grid, monotonic, hits_seen = bench_bubble_grid(args.smoke)
-        with obs.span("checks"):
-            checks = bench_checks(args.smoke)
-        with obs.span("replay"):
-            replay, replay_identical = bench_replay_fast_path(args.smoke)
-    report = {
-        "meta": {
-            "smoke": args.smoke,
-            "workload": WORKLOAD,
-            "schedules": list(KNOWN_SCHEDULES),
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+def collect(smoke: bool) -> dict:
+    """The pp report's meta, metrics and checks."""
+    with obs.span("grid"):
+        grid, monotonic, hits_seen = bench_bubble_grid(smoke)
+    with obs.span("checks"):
+        checks = bench_checks(smoke)
+    with obs.span("replay"):
+        replay, replay_identical = bench_replay_fast_path(smoke)
+    return {
+        "meta": {"workload": WORKLOAD, "schedules": list(KNOWN_SCHEDULES)},
         "metrics": {"grid": grid, "replay": replay},
         "checks": {
             "bubble_strictly_decreasing_everywhere": monotonic,
@@ -310,40 +245,21 @@ def main(argv: list[str] | None = None) -> int:
             "replay_fast_bit_identical": replay_identical,
             **checks,
         },
-        "observability": obs_session.snapshot(command="bench_pp_bubble").to_dict(),
     }
 
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
 
-    print(f"wrote {args.out}")
-    for point, payload in grid.items():
+def summary(report: dict) -> list[str]:
+    """One bubble-ratio line per grid point."""
+    lines = []
+    for point, payload in report["metrics"]["grid"].items():
         if "bubble_ratio" not in payload:
             continue
         bubbles = payload["bubble_ratio"]
-        print(f"  {point:18s} bubble: "
-              + "  ".join(f"{name} {bubbles[name] * 100:5.1f}%" for name in KNOWN_SCHEDULES))
-    for name, value in sorted(_walk_speedups(report["metrics"]).items()):
-        print(f"  {name:60s} {value:8.3f}x")
-    for name, ok in report["checks"].items():
-        print(f"  {name:60s} {'ok' if ok else 'FAILED'}")
-
-    failed = [name for name, ok in report["checks"].items() if not ok]
-    if failed:
-        print(f"pp checks failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    if args.check:
-        if not args.baseline.exists():
-            print(f"baseline {args.baseline} missing; cannot --check", file=sys.stderr)
-            return 1
-        failures = check_regressions(report, args.baseline)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print(f"no >{REGRESSION_FACTOR:g}x regressions vs {args.baseline}")
-    return 0
+        lines.append(f"{point:18s} bubble: " + "  ".join(
+            f"{name} {bubbles[name] * 100:5.1f}%" for name in KNOWN_SCHEDULES
+        ))
+    return lines
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main("pp", collect, summary))

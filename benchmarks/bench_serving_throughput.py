@@ -13,15 +13,13 @@ machine-readable ``BENCH_serving.json``:
   sequential baseline -- deterministic, so portable across machines;
 * **simulator throughput**: iterations/s and simulated-vs-wall time ratio of
   the event loop itself;
-* **batched fast path**: wall-clock speedup of the batched serving loop
-  (``ServingSimulator(fast=True)``, the default) over the
-  one-event-per-iteration reference on decode-heavy chat traffic, asserting
-  the two are bit-identical.
+* **batched fast path**: wall-clock speedup of the batched serving loop over
+  the one-event-per-iteration oracle in ``tests/reference/serve.py`` on
+  decode-heavy chat traffic, asserting the two are bit-identical.
 
-``--check`` compares the speedup ratios against a committed baseline
-(``benchmarks/BENCH_serving_baseline.json``) and exits non-zero on a >2x
-regression; ratios rather than absolute times are compared so the gate is
-portable across CI machines.
+``--check`` gates the speedup ratios against the committed
+``benchmarks/BENCH_serving_baseline.json`` (command line, report and gate
+rule: ``benchmarks/harness.py``).
 
 Usage::
 
@@ -32,20 +30,13 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
-from pathlib import Path
+from contextlib import nullcontext
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
-import numpy as np
-
+import harness
+from reference.serve import one_event_per_iteration
 from repro import obs
-from repro.atomic import atomic_write_text
 from repro.comm.topology import a800_nvlink
 from repro.core.config import OverlapSettings
 from repro.serve import (
@@ -57,12 +48,6 @@ from repro.serve import (
 )
 from repro.serve.simulator import SERVE_MODELS, SMOKE_SCENARIO
 from repro.workloads.llm import LLAMA3_70B
-
-DEFAULT_OUT = Path(__file__).resolve().parent / "output" / "BENCH_serving.json"
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_serving_baseline.json"
-
-#: Fail --check when a speedup ratio drops below baseline / REGRESSION_FACTOR.
-REGRESSION_FACTOR = 2.0
 
 
 def _scenario(smoke: bool) -> tuple[ServeConfig, list]:
@@ -166,7 +151,7 @@ def bench_simulator_throughput(config: ServeConfig, requests: list) -> dict:
 
 
 def bench_fast_path(config: ServeConfig, smoke: bool) -> tuple[dict, bool]:
-    """Batched serving loop vs the one-event-per-iteration reference.
+    """Batched serving loop vs the one-event-per-iteration oracle.
 
     Decode-heavy chat traffic maximizes silent steady-decode runs -- the case
     the fast path collapses in bulk.  Both arms are timed best-of-N; the
@@ -187,27 +172,28 @@ def bench_fast_path(config: ServeConfig, smoke: bool) -> tuple[dict, bool]:
 
     def measure(mode: str, warm: bool):
         results, best = {}, {}
-        for fast in (True, False):
+        for arm in ("fast", "reference"):
             cache = None
             if mode == "overlap":
                 cache = PlanCache(config.settings, capacity=64)
                 if warm:  # identical warm-up on each arm's private cache
                     ServingSimulator(config, plan_cache=cache, mode=mode).run(requests)
-            best[fast] = float("inf")
+            best[arm] = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
-                results[fast] = ServingSimulator(
-                    config, plan_cache=cache, mode=mode, fast=fast
-                ).run(requests)
-                best[fast] = min(best[fast], time.perf_counter() - start)
-        identical = json.dumps(results[True].to_dict(), sort_keys=True) == json.dumps(
-            results[False].to_dict(), sort_keys=True
+                with one_event_per_iteration() if arm == "reference" else nullcontext():
+                    results[arm] = ServingSimulator(
+                        config, plan_cache=cache, mode=mode
+                    ).run(requests)
+                best[arm] = min(best[arm], time.perf_counter() - start)
+        identical = json.dumps(results["fast"].to_dict(), sort_keys=True) == json.dumps(
+            results["reference"].to_dict(), sort_keys=True
         )
         return {
-            "iterations": results[True].iterations,
-            "reference_s": best[False],
-            "fast_s": best[True],
-            "speedup": best[False] / best[True],
+            "iterations": results["fast"].iterations,
+            "reference_s": best["reference"],
+            "fast_s": best["fast"],
+            "speedup": best["reference"] / best["fast"],
         }, identical
 
     non_overlap, non_overlap_identical = measure("non-overlap", warm=False)
@@ -219,67 +205,19 @@ def bench_fast_path(config: ServeConfig, smoke: bool) -> tuple[dict, bool]:
     }, non_overlap_identical and overlap_identical
 
 
-def _walk_speedups(metrics: dict, prefix: str = "") -> dict[str, float]:
-    """Flatten every ``speedup`` ratio in the metrics tree."""
-    found: dict[str, float] = {}
-    for key, value in metrics.items():
-        if isinstance(value, dict):
-            found.update(_walk_speedups(value, f"{prefix}{key}."))
-        elif key == "speedup":
-            found[f"{prefix}{key}"] = float(value)
-    return found
-
-
-def check_regressions(report: dict, baseline_path: Path) -> list[str]:
-    """Speedup ratios that regressed >2x vs the committed baseline."""
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    current = _walk_speedups(report["metrics"])
-    reference = _walk_speedups(baseline.get("metrics", {}))
-    failures = []
-    for name, ref_value in reference.items():
-        cur_value = current.get(name)
-        if cur_value is None:
-            failures.append(f"{name}: missing from current report (baseline {ref_value:.2f}x)")
-        elif cur_value < ref_value / REGRESSION_FACTOR:
-            failures.append(
-                f"{name}: {cur_value:.2f}x is a >{REGRESSION_FACTOR:g}x regression "
-                f"vs baseline {ref_value:.2f}x"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="report JSON path")
-    parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE, help="committed baseline JSON"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=f"exit non-zero on a >{REGRESSION_FACTOR:g}x speedup regression vs the baseline",
-    )
-    args = parser.parse_args(argv)
-
-    config, requests = _scenario(args.smoke)
-    with obs.observe() as obs_session:
-        with obs.span("plan_cache"):
-            plan_cache, cache_transparent = bench_plan_cache(config, requests)
-        with obs.span("serving"):
-            serving, deterministic, overlap_wins = bench_overlap_vs_baseline(config, requests)
-        with obs.span("simulator"):
-            simulator = bench_simulator_throughput(config, requests)
-        with obs.span("fast_path"):
-            fast_path, fast_path_identical = bench_fast_path(config, args.smoke)
-    report = {
-        "meta": {
-            "smoke": args.smoke,
-            "model": config.model.name,
-            "requests": len(requests),
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+def collect(smoke: bool) -> dict:
+    """The serving report's meta, metrics and checks."""
+    config, requests = _scenario(smoke)
+    with obs.span("plan_cache"):
+        plan_cache, cache_transparent = bench_plan_cache(config, requests)
+    with obs.span("serving"):
+        serving, deterministic, overlap_wins = bench_overlap_vs_baseline(config, requests)
+    with obs.span("simulator"):
+        simulator = bench_simulator_throughput(config, requests)
+    with obs.span("fast_path"):
+        fast_path, fast_path_identical = bench_fast_path(config, smoke)
+    return {
+        "meta": {"model": config.model.name, "requests": len(requests)},
         "metrics": {
             "plan_cache": plan_cache,
             "serving": serving,
@@ -295,36 +233,13 @@ def main(argv: list[str] | None = None) -> int:
             ),
             "overlap_beats_baseline": overlap_wins,
         },
-        "observability": obs_session.snapshot(command="bench_serving_throughput").to_dict(),
     }
 
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
 
-    print(f"wrote {args.out}")
-    for name, value in _walk_speedups(report["metrics"]).items():
-        print(f"  {name:45s} {value:8.2f}x")
-    print(f"  {'tuner invocations / iteration':45s} "
-          f"{plan_cache['tuner_invocations_per_iteration']:8.4f}")
-    for name, ok in report["checks"].items():
-        print(f"  {name:45s} {'ok' if ok else 'FAILED'}")
-
-    failed = [name for name, ok in report["checks"].items() if not ok]
-    if failed:
-        print(f"serving checks failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    if args.check:
-        if not args.baseline.exists():
-            print(f"baseline {args.baseline} missing; cannot --check", file=sys.stderr)
-            return 1
-        failures = check_regressions(report, args.baseline)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print(f"no >{REGRESSION_FACTOR:g}x regressions vs {args.baseline}")
-    return 0
+def summary(report: dict) -> list[str]:
+    per_iteration = report["metrics"]["plan_cache"]["tuner_invocations_per_iteration"]
+    return [f"tuner invocations / iteration: {per_iteration:.4f}"]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main("serving", collect, summary))

@@ -18,10 +18,9 @@ the tuning/reordering subsystem old-vs-new and emits a machine-readable
   early-abandoning search,
 * the tuning portion of a sweep (the smoke preset's scenarios) old vs new.
 
-``--check`` compares the speedup ratios against a committed baseline
-(``benchmarks/BENCH_tuning_baseline.json`` by default) and exits non-zero on
-a >2x regression; ratios rather than absolute times are compared so the gate
-is portable across CI machines.
+``--check`` gates the speedup ratios against the committed
+``benchmarks/BENCH_tuning_baseline.json`` (command line, report and gate
+rule: ``benchmarks/harness.py``).
 
 Usage::
 
@@ -32,24 +31,15 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import sys
 import time
-from pathlib import Path
-
-_ROOT = Path(__file__).resolve().parent.parent
-for _path in (_ROOT / "tests", _ROOT / "src"):  # tests/ holds the reference oracles
-    if str(_path) not in sys.path:
-        sys.path.insert(0, str(_path))
 
 import numpy as np
 
+import harness
 from reference import reordering as reorder_oracle
 from reference.tuner import exhaustive_tune, predictive_tune
 from repro import obs
-from repro.atomic import atomic_write_text
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
@@ -66,24 +56,23 @@ from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
 from repro.sweep.presets import smoke_matrix
 
-DEFAULT_OUT = Path(__file__).resolve().parent / "output" / "BENCH_tuning.json"
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_tuning_baseline.json"
+#: Timing repetitions (best-of) for every arm, smoke runs included: the
+#: regression gate compares ratios, and a single measurement on a loaded CI
+#: runner is too noisy to gate on.
+REPEATS = 3
 
-#: Fail --check when a speedup ratio drops below baseline / REGRESSION_FACTOR.
-REGRESSION_FACTOR = 2.0
 
-
-def _time(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of ``fn()`` (seconds)."""
+def _time(fn) -> float:
+    """Best-of-``REPEATS`` wall time of ``fn()`` (seconds)."""
     best = math.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def bench_predictive_tuning(smoke: bool, repeats: int) -> tuple[dict, bool]:
+def bench_predictive_tuning(smoke: bool) -> tuple[dict, bool]:
     """Candidates/s of the scalar reference loop vs predict_batch."""
     problem = OverlapProblem(
         shape=GemmShape(2048, 8192, 8192),
@@ -107,8 +96,8 @@ def bench_predictive_tuning(smoke: bool, repeats: int) -> tuple[dict, bool]:
         for _ in range(inner):
             predictor.predict_batch(matrix)
 
-    scalar_s = _time(scalar, repeats)
-    batch_s = _time(batch, repeats)
+    scalar_s = _time(scalar)
+    batch_s = _time(batch)
     evaluated = len(candidates) * inner
     identical = bool(
         np.array_equal(
@@ -125,7 +114,7 @@ def bench_predictive_tuning(smoke: bool, repeats: int) -> tuple[dict, bool]:
     }, identical
 
 
-def bench_pipeline_reorder(smoke: bool, repeats: int) -> tuple[dict, bool]:
+def bench_pipeline_reorder(smoke: bool) -> tuple[dict, bool]:
     """Elements/s of the per-tile reference reorders vs the index fast path.
 
     Sized so the reorder stages dominate (many tiles per matrix, as in the
@@ -147,8 +136,8 @@ def bench_pipeline_reorder(smoke: bool, repeats: int) -> tuple[dict, bool]:
             np.array_equal(a, b) for a, b in zip(fast.outputs, ref.outputs)
         )
         all_equal = all_equal and fast.allclose()
-        fast_s = _time(runner, repeats)
-        ref_s = _time(oracle, repeats)
+        fast_s = _time(runner)
+        ref_s = _time(oracle)
         metrics[name] = {
             "reference_elements_per_s": elements / ref_s,
             "fast_elements_per_s": elements / fast_s,
@@ -204,7 +193,7 @@ def bench_pipeline_reorder(smoke: bool, repeats: int) -> tuple[dict, bool]:
     return metrics, all_equal
 
 
-def bench_profile_memoization(smoke: bool, repeats: int) -> dict:
+def bench_profile_memoization(smoke: bool) -> dict:
     """Tune calls with cold caches vs memoized offline profiles.
 
     Both timed callables run several inner passes so the measured spans stay
@@ -235,13 +224,13 @@ def bench_profile_memoization(smoke: bool, repeats: int) -> dict:
             for problem in problems:
                 tuner.tune(problem)
 
-    cold_s = _time(cold, repeats)
+    cold_s = _time(cold)
     warm()  # populate
-    warm_s = _time(warm, repeats)
+    warm_s = _time(warm)
     return {"cold_s": cold_s, "warm_s": warm_s, "speedup": cold_s / warm_s}
 
 
-def bench_exhaustive(smoke: bool, repeats: int) -> dict:
+def bench_exhaustive(smoke: bool) -> dict:
     """Naive per-candidate simulation vs incremental early-abandoning search."""
     problem = OverlapProblem(
         shape=GemmShape(1024, 4096, 4096) if smoke else GemmShape(2048, 8192, 8192),
@@ -260,12 +249,12 @@ def bench_exhaustive(smoke: bool, repeats: int) -> dict:
         for _ in range(inner):
             ExhaustiveTuner(settings).tune(problem)
 
-    naive_s = _time(naive, repeats)
-    incremental_s = _time(incremental, repeats)
+    naive_s = _time(naive)
+    incremental_s = _time(incremental)
     return {"naive_s": naive_s, "incremental_s": incremental_s, "speedup": naive_s / incremental_s}
 
 
-def bench_sweep_tuning(smoke: bool, repeats: int) -> dict:
+def bench_sweep_tuning(smoke: bool) -> dict:
     """Tuning wall-clock of the smoke sweep's scenarios, old path vs new.
 
     "Old" is pre-fast-path behavior: scalar candidate loop and a fresh
@@ -284,78 +273,27 @@ def bench_sweep_tuning(smoke: bool, repeats: int) -> dict:
         for problem, settings in jobs:
             PredictiveTuner(settings).tune(problem)
 
-    old_s = _time(old, repeats)
+    old_s = _time(old)
     clear_profile_caches()
     new()  # first pass pays the cache misses, as a real sweep's first job does
-    new_s = _time(new, repeats)
+    new_s = _time(new)
     return {"jobs": len(jobs), "old_s": old_s, "new_s": new_s, "speedup": old_s / new_s}
 
 
-def _walk_speedups(metrics: dict, prefix: str = "") -> dict[str, float]:
-    """Flatten every ``speedup`` ratio in the metrics tree."""
-    found: dict[str, float] = {}
-    for key, value in metrics.items():
-        if isinstance(value, dict):
-            found.update(_walk_speedups(value, f"{prefix}{key}."))
-        elif key in ("speedup", "speedup_geomean"):
-            found[f"{prefix}{key}"] = float(value)
-    return found
-
-
-def check_regressions(report: dict, baseline_path: Path) -> list[str]:
-    """Speedup ratios that regressed >2x vs the committed baseline."""
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    current = _walk_speedups(report["metrics"])
-    reference = _walk_speedups(baseline.get("metrics", {}))
-    failures = []
-    for name, ref_value in reference.items():
-        cur_value = current.get(name)
-        if cur_value is None:
-            failures.append(f"{name}: missing from current report (baseline {ref_value:.2f}x)")
-        elif cur_value < ref_value / REGRESSION_FACTOR:
-            failures.append(
-                f"{name}: {cur_value:.2f}x is a >{REGRESSION_FACTOR:g}x regression "
-                f"vs baseline {ref_value:.2f}x"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run (small grids, 1 repeat)")
-    parser.add_argument("--repeats", type=int, default=None, help="timing repetitions (best-of)")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="report JSON path")
-    parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE, help="committed baseline JSON"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=f"exit non-zero on a >{REGRESSION_FACTOR:g}x speedup regression vs the baseline",
-    )
-    args = parser.parse_args(argv)
-    # Best-of-3 even in smoke mode: the regression gate compares ratios, and a
-    # single measurement on a loaded CI runner is too noisy to gate on.
-    repeats = args.repeats if args.repeats is not None else 3
-
-    with obs.observe() as obs_session:
-        with obs.span("predictive_tuning"):
-            predictive, decisions_identical = bench_predictive_tuning(args.smoke, repeats)
-        with obs.span("pipeline_reorder"):
-            reorder, pipelines_match = bench_pipeline_reorder(args.smoke, repeats)
-        with obs.span("profile_memoization"):
-            memoization = bench_profile_memoization(args.smoke, repeats)
-        with obs.span("exhaustive_tuner"):
-            exhaustive = bench_exhaustive(args.smoke, repeats)
-        with obs.span("sweep_tuning"):
-            sweep_tuning = bench_sweep_tuning(args.smoke, repeats)
-    report = {
-        "meta": {
-            "smoke": args.smoke,
-            "repeats": repeats,
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+def collect(smoke: bool) -> dict:
+    """The tuning report's meta, metrics and checks."""
+    with obs.span("predictive_tuning"):
+        predictive, decisions_identical = bench_predictive_tuning(smoke)
+    with obs.span("pipeline_reorder"):
+        reorder, pipelines_match = bench_pipeline_reorder(smoke)
+    with obs.span("profile_memoization"):
+        memoization = bench_profile_memoization(smoke)
+    with obs.span("exhaustive_tuner"):
+        exhaustive = bench_exhaustive(smoke)
+    with obs.span("sweep_tuning"):
+        sweep_tuning = bench_sweep_tuning(smoke)
+    return {
+        "meta": {"repeats": REPEATS},
         "metrics": {
             "predictive_tuning": predictive,
             "pipeline_reorder": reorder,
@@ -367,34 +305,8 @@ def main(argv: list[str] | None = None) -> int:
             "tuning_decisions_identical": decisions_identical,
             "pipeline_outputs_allclose": pipelines_match,
         },
-        "observability": obs_session.snapshot(command="bench_tuner_throughput").to_dict(),
     }
-
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
-
-    print(f"wrote {args.out}")
-    for name, value in _walk_speedups(report["metrics"]).items():
-        print(f"  {name:45s} {value:8.2f}x")
-    for name, ok in report["checks"].items():
-        print(f"  {name:45s} {'ok' if ok else 'FAILED'}")
-
-    failed = [name for name, ok in report["checks"].items() if not ok]
-    if failed:
-        print(f"equivalence checks failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    if args.check:
-        if not args.baseline.exists():
-            print(f"baseline {args.baseline} missing; cannot --check", file=sys.stderr)
-            return 1
-        failures = check_regressions(report, args.baseline)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print(f"no >{REGRESSION_FACTOR:g}x regressions vs {args.baseline}")
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main("tuning", collect, label="equivalence"))

@@ -219,7 +219,6 @@ def serve(
     failover_delay: float = 0.05,
     cluster: ClusterSpec | None = None,
     seed: int = 0,
-    fast: bool = True,
     smoke: bool = False,
     profile: bool = False,
 ) -> ServeReport:
@@ -237,9 +236,7 @@ def serve(
     ``deadline``, ``admission_limit`` and ``warm_spares`` configure the
     resilience policy.  Faulted runs additionally simulate the fault-free
     reference arm so the report can state goodput-under-failure.
-    ``fast=False`` forces the one-event-per-iteration reference loop instead
-    of the batched fast path (bit-identical results).  ``profile=True``
-    attaches an observability snapshot to the report.
+    ``profile=True`` attaches an observability snapshot to the report.
     """
 
     def build() -> ServeReport:
@@ -361,15 +358,14 @@ def serve(
         slo = SLO(ttft_s=slo_ttft, tpot_s=slo_tpot)
 
         overlap = ServingSimulator(
-            config, plan_cache=cache, mode="overlap", faults=injector,
-            resilience=policy, fast=fast,
+            config, plan_cache=cache, mode="overlap", faults=injector, resilience=policy
         ).run(generated)
         baseline_result = None
         if baseline:
             # The baseline arm rides the same fault timeline so the overlap
             # comparison stays like-for-like.
             baseline_result = ServingSimulator(
-                config, mode="non-overlap", faults=injector, resilience=policy, fast=fast
+                config, mode="non-overlap", faults=injector, resilience=policy
             ).run(generated)
         fault_free_result = None
         if injector is not None:
@@ -378,7 +374,6 @@ def serve(
                 plan_cache=PlanCache(settings, capacity=plan_cache, warm_start=warm,
                                      min_bucket=config.min_bucket),
                 mode="overlap",
-                fast=fast,
             ).run(generated)
         if warm_cache and warm is not None:
             warm.save(warm_cache)

@@ -79,9 +79,6 @@ def add_parser(sub) -> None:
                         help="outage length of a warm-spare failover (default 0.05s)")
     add_seed_argument(parser, "traffic and model seed")
     add_json_argument(parser, "write the full metrics report to a JSON file")
-    parser.add_argument("--no-fast", action="store_true",
-                        help="run the one-event-per-iteration reference loop instead "
-                             "of the batched fast path (bit-identical)")
     add_smoke_argument(parser,
                        "CI-sized defaults for any flags not passed explicitly "
                        "(short summarization burst on the small model); implies --baseline")
@@ -116,7 +113,6 @@ def run(args: argparse.Namespace) -> int:
             failover_delay=args.failover_delay,
             cluster=cluster_from_args(args),
             seed=args.seed,
-            fast=not args.no_fast,
             smoke=args.smoke,
         )
 
