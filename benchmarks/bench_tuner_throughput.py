@@ -39,6 +39,7 @@ import numpy as np
 import harness
 from reference import reordering as reorder_oracle
 from reference.tuner import exhaustive_tune, predictive_tune
+from reference.wave_grouping import candidate_partitions
 from repro import obs
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
@@ -51,7 +52,6 @@ from repro.core.reordering import (
     run_reduce_scatter_pipeline,
 )
 from repro.core.tuner import ExhaustiveTuner, PredictiveTuner
-from repro.core.wave_grouping import candidate_partitions_matrix
 from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
 from repro.sweep.presets import smoke_matrix
@@ -83,8 +83,13 @@ def bench_predictive_tuning(smoke: bool) -> tuple[dict, bool]:
     settings = OverlapSettings()
     profile = OfflineProfile.build(problem, settings)
     predictor = LatencyPredictor(profile, total_bytes=problem.output_bytes())
-    candidates = PredictiveTuner(settings).candidates(profile.num_waves)
-    matrix = candidate_partitions_matrix(candidates)
+    matrix = PredictiveTuner(settings).candidates(profile.num_waves)
+    candidates = candidate_partitions(
+        profile.num_waves,
+        settings.max_first_group,
+        settings.max_last_group,
+        settings.max_exhaustive_waves,
+    )
     inner = 1 if smoke else 5
 
     def scalar() -> None:

@@ -31,13 +31,7 @@ from repro.core.tuner import (
     TuningResult,
     search_quality,
 )
-from repro.core.wave_grouping import (
-    WavePartition,
-    candidate_partitions,
-    design_space_size,
-    enumerate_partitions,
-    pruned_partitions,
-)
+from repro.core.wave_grouping import WavePartition, design_space_size
 
 __all__ = [
     "OverlapProblem",
@@ -59,9 +53,6 @@ __all__ = [
     "TuningResult",
     "search_quality",
     "WavePartition",
-    "enumerate_partitions",
-    "pruned_partitions",
-    "candidate_partitions",
     "design_space_size",
     "CountingTable",
     "GroupAssignment",

@@ -66,7 +66,7 @@ class EventDrivenExecutor:
             )
         assignment = self.analytic.assignment(partition)
         payloads = self.analytic.group_payload_bytes(assignment) * self.problem.imbalance
-        jitter = self.analytic._jitter(partition, partition.num_groups)
+        jitter = self.analytic._jitter(partition.group_sizes)
         comm_model = self.analytic.comm_model
 
         launch = self.problem.device.kernel_launch_seconds

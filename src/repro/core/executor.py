@@ -108,14 +108,14 @@ class OverlapExecutor:
         group_elements = prefix[assignment.offsets[1:]] - prefix[assignment.offsets[:-1]]
         return (group_elements * self.problem.dtype_bytes).astype(np.float64)
 
-    def _jitter(self, partition: WavePartition, count: int) -> np.ndarray:
-        """Deterministic per-group noise multipliers for this partition."""
+    def _jitter(self, group_sizes: tuple[int, ...]) -> np.ndarray:
+        """Deterministic per-group noise multipliers for a partition's group sizes."""
         if self.settings.executor_jitter <= 0:
-            return np.ones(count)
-        key = f"{self.problem.describe()}|{partition.group_sizes}|{self.settings.seed}"
+            return np.ones(len(group_sizes))
+        key = f"{self.problem.describe()}|{group_sizes}|{self.settings.seed}"
         seed = zlib.crc32(key.encode("utf-8"))
         rng = np.random.default_rng(seed)
-        return 1.0 + rng.uniform(0.0, self.settings.executor_jitter, size=count)
+        return 1.0 + rng.uniform(0.0, self.settings.executor_jitter, size=len(group_sizes))
 
     # -- sequential baseline ----------------------------------------------------
 
@@ -178,7 +178,7 @@ class OverlapExecutor:
             assignment, tile_times, signal_latency=self.settings.signal_poll_s
         )
 
-        jitter = self._jitter(partition, partition.num_groups)
+        jitter = self._jitter(partition.group_sizes)
         timeline = StreamTimeline(launch_overhead=0.0)
         gemm_body = wave_end[-1] - launch
         timeline.enqueue(

@@ -19,7 +19,7 @@ from repro import obs
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.executor import OverlapExecutor
 from repro.core.predictor import LatencyPredictor, OfflineProfile
-from repro.core.wave_grouping import WavePartition, candidate_partitions, candidate_partitions_matrix
+from repro.core.wave_grouping import PartitionMatrix, WavePartition, candidate_matrix
 from repro.gpu.gemm import GemmShape
 
 
@@ -62,13 +62,9 @@ class PredictiveTuner:
     def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS) -> None:
         self.settings = settings
 
-    def candidates(self, num_waves: int) -> list[WavePartition]:
-        return candidate_partitions(
-            num_waves,
-            max_first_group=self.settings.max_first_group,
-            max_last_group=self.settings.max_last_group,
-            max_exhaustive_waves=self.settings.max_exhaustive_waves,
-        )
+    def candidates(self, num_waves: int) -> PartitionMatrix:
+        """The memoized, read-only candidate space for ``num_waves`` waves."""
+        return _candidates(num_waves, self.settings)
 
     def tune(self, problem: OverlapProblem, profile: OfflineProfile | None = None) -> TuningResult:
         with obs.span("tuner.tune", method="predictive"):
@@ -79,17 +75,15 @@ class PredictiveTuner:
         predictor = LatencyPredictor(profile, total_bytes=problem.output_bytes())
         candidates = self.candidates(profile.num_waves)
         obs.counter("tuner.invocations", method="predictive").inc()
-        obs.counter("tuner.candidates", method="predictive").inc(len(candidates))
-        if not candidates:  # pragma: no cover - defensive
-            raise RuntimeError("no candidate partitions were generated")
-        latencies = predictor.predict_batch(candidate_partitions_matrix(candidates))
+        obs.counter("tuner.candidates", method="predictive").inc(candidates.num_candidates)
+        latencies = predictor.predict_batch(candidates)
         index = int(np.argmin(latencies))
-        best, best_latency = candidates[index], float(latencies[index])
+        best_latency = float(latencies[index])
         use_overlap = best_latency <= predictor.predict_non_overlap()
         return TuningResult(
-            partition=best,
+            partition=candidates.partition(index),
             predicted_latency=best_latency,
-            candidates_evaluated=len(candidates),
+            candidates_evaluated=candidates.num_candidates,
             method="predictive",
             use_overlap=use_overlap,
         )
@@ -121,38 +115,32 @@ class ExhaustiveTuner:
 
     def _tune(self, problem: OverlapProblem, executor: OverlapExecutor | None) -> TuningResult:
         executor = executor or OverlapExecutor(problem, self.settings)
-        num_waves = executor.num_waves()
-        candidates = candidate_partitions(
-            num_waves,
-            max_first_group=self.settings.max_first_group,
-            max_last_group=self.settings.max_last_group,
-            max_exhaustive_waves=self.settings.max_exhaustive_waves,
-        )
+        candidates = _candidates(executor.num_waves(), self.settings)
         obs.counter("tuner.invocations", method="exhaustive").inc()
-        obs.counter("tuner.candidates", method="exhaustive").inc(len(candidates))
+        obs.counter("tuner.candidates", method="exhaustive").inc(candidates.num_candidates)
         best, best_latency = self._tune_incremental(executor, candidates)
         if best is None:  # pragma: no cover - defensive
-            raise RuntimeError("no candidate partitions were generated")
+            raise RuntimeError("no candidate partition finished with a finite latency")
         # Like the predictive tuner, fall back to the sequential execution when
         # even the best overlapped candidate is slower than not overlapping.
         use_overlap = best_latency <= executor.simulate_sequential().latency
         return TuningResult(
-            partition=best,
+            partition=candidates.partition(best),
             predicted_latency=best_latency,
-            candidates_evaluated=len(candidates),
+            candidates_evaluated=candidates.num_candidates,
             method="exhaustive",
             use_overlap=use_overlap,
         )
 
     def _tune_incremental(
-        self, executor: OverlapExecutor, candidates: list[WavePartition]
-    ) -> tuple[WavePartition | None, float]:
-        """Rank candidates on shared per-wave state with early abandoning.
+        self, executor: OverlapExecutor, candidates: PartitionMatrix
+    ) -> tuple[int | None, float]:
+        """Rank candidate rows on shared per-wave state with early abandoning.
 
         Replicates the latency arithmetic of :meth:`OverlapExecutor.simulate`
         operation for operation (same wave-end times, same signal-ready times,
-        same payload bytes, same jitter draw), so the selected partition and
-        latency are identical to simulating every candidate.  Per-group payloads come
+        same payload bytes, same jitter draw), so the selected row and latency
+        are identical to simulating every candidate.  Per-group payloads come
         from an integer prefix sum over waves, which is exact.
         """
         problem, settings = executor.problem, executor.settings
@@ -165,29 +153,28 @@ class ExhaustiveTuner:
         byte_prefix = np.concatenate([[0], np.cumsum(executor.wave_payload_bytes())])
         ready = wave_end + settings.signal_poll_s
         deterministic = settings.executor_jitter <= 0
+        sizes = candidates.sizes.tolist()
 
-        best: WavePartition | None = None
+        best: int | None = None
         best_latency = math.inf
         # Simulation state of the previous candidate: comm-stream drain time
         # after each of its groups, reusable for a shared boundary prefix when
         # the executor is deterministic (jitter depends on the full partition).
-        prev_boundaries: tuple[int, ...] = ()
+        prev_boundaries: list[int] = []
         prev_state: list[float] = []
-        for partition in candidates:
-            boundaries = partition.boundaries()
-            jitter = executor._jitter(partition, partition.num_groups)
+        for row, (count, boundaries) in enumerate(
+            zip(candidates.counts.tolist(), candidates.boundaries.tolist())
+        ):
+            jitter = executor._jitter(tuple(sizes[row][:count]))
             start_group = 0
             if deterministic:
-                while (
-                    start_group < len(prev_state)
-                    and start_group < len(boundaries)
-                    and prev_boundaries[start_group] == boundaries[start_group]
-                ):
+                shared = min(len(prev_state), count)
+                while start_group < shared and prev_boundaries[start_group] == boundaries[start_group]:
                     start_group += 1
             previous_end = prev_state[start_group - 1] if start_group else 0.0
-            state = list(prev_state[:start_group])
+            state = prev_state[:start_group]
             abandoned = False
-            for group in range(start_group, partition.num_groups):
+            for group in range(start_group, count):
                 end_wave = boundaries[group]
                 payload = float(byte_prefix[end_wave] - byte_prefix[boundaries[group - 1] if group else 0])
                 payload *= problem.imbalance
@@ -198,12 +185,21 @@ class ExhaustiveTuner:
                 if previous_end >= best_latency:
                     abandoned = True
                     break
-            prev_boundaries, prev_state = tuple(boundaries[: len(state)]), state
+            prev_boundaries, prev_state = boundaries, state
             if abandoned:
                 continue
             if previous_end < best_latency:
-                best, best_latency = partition, previous_end
+                best, best_latency = row, previous_end
         return best, best_latency
+
+
+def _candidates(num_waves: int, settings: OverlapSettings) -> PartitionMatrix:
+    return candidate_matrix(
+        num_waves,
+        max_first_group=settings.max_first_group,
+        max_last_group=settings.max_last_group,
+        max_exhaustive_waves=settings.max_exhaustive_waves,
+    )
 
 
 def _tuning_result_to_dict(result: TuningResult) -> dict:

@@ -9,7 +9,8 @@ keep accumulating; the last wave always triggers.  A choice is therefore a
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+import functools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,38 +148,11 @@ class WavePartition:
 # -- design-space enumeration -------------------------------------------------
 
 
-def enumerate_partitions(num_waves: int) -> Iterator[WavePartition]:
-    """Enumerate the full design space: all ``2^(T-1)`` compositions of ``T``."""
-    if num_waves <= 0:
-        raise ValueError("num_waves must be positive")
-    if num_waves == 1:
-        yield WavePartition((1,))
-        return
-    for mask in range(1 << (num_waves - 1)):
-        decisions = [bool(mask >> i & 1) for i in range(num_waves - 1)] + [True]
-        yield WavePartition.from_decisions(decisions)
-
-
 def design_space_size(num_waves: int) -> int:
     """Size of the unpruned design space."""
     if num_waves <= 0:
         raise ValueError("num_waves must be positive")
     return 1 << (num_waves - 1)
-
-
-def pruned_partitions(
-    num_waves: int, max_first_group: int, max_last_group: int
-) -> list[WavePartition]:
-    """The pruned design space: bounded first and last group sizes.
-
-    The first group controls the head latency (cold start) and the last group
-    controls the tail, so both are preferred small (Sec. 4.1.3/4.1.4).
-    """
-    return [
-        p
-        for p in enumerate_partitions(num_waves)
-        if p.first_group <= max_first_group and p.last_group <= max_last_group
-    ]
 
 
 def heuristic_partitions(
@@ -230,13 +204,15 @@ class PartitionMatrix:
     ``boundaries[c, g]`` is the prefix sum of those sizes (the 1-based wave
     index at which group ``g`` ends; past the last real group the boundary
     stays at the total wave count).  This is the input format of the
-    vectorized latency predictor and the incremental exhaustive tuner: one
-    encoding is built per search and reused by every evaluation pass.
+    vectorized latency predictor and the incremental exhaustive tuner.  The
+    tuners' matrices come from :func:`candidate_matrix`, read-only and in a
+    narrow unsigned dtype; :func:`candidate_partitions_matrix` encodes any
+    other family as int64.
     """
 
-    sizes: np.ndarray  # (num_candidates, max_groups) int64, zero padded
-    counts: np.ndarray  # (num_candidates,) int64, number of real groups
-    boundaries: np.ndarray  # (num_candidates, max_groups) int64 prefix sums
+    sizes: np.ndarray  # (num_candidates, max_groups), zero padded
+    counts: np.ndarray  # (num_candidates,), number of real groups
+    boundaries: np.ndarray  # (num_candidates, max_groups) prefix sums
 
     @property
     def num_candidates(self) -> int:
@@ -276,17 +252,74 @@ def candidate_partitions_matrix(partitions: Sequence[WavePartition]) -> Partitio
     return PartitionMatrix(sizes=sizes, counts=counts, boundaries=np.cumsum(sizes, axis=1))
 
 
-def candidate_partitions(
+# -- the tuner's candidate space ----------------------------------------------
+
+
+def candidate_matrix(
     num_waves: int,
     max_first_group: int,
     max_last_group: int,
     max_exhaustive_waves: int,
-) -> list[WavePartition]:
-    """Candidates used by the tuner: pruned enumeration when tractable,
-    heuristic family otherwise."""
+) -> PartitionMatrix:
+    """The candidates the tuners rank, as one memoized :class:`PartitionMatrix`.
+
+    Up to ``max_exhaustive_waves`` waves this is the pruned design space: every
+    composition of ``T`` whose first and last groups respect the bounds, in
+    ascending order of its "communicate after wave i" bitmask (``argmin`` ties
+    pick the first row, so the order is part of the contract).  Past it, the
+    :func:`heuristic_partitions` family.  The matrix is shared by every call
+    with the same arguments, so its arrays are read-only; they use the
+    narrowest unsigned dtype that holds ``T``.
+    """
+    if num_waves < 1:
+        raise ValueError("num_waves must be positive")
+    if max_first_group < 1 or max_last_group < 1:
+        raise ValueError("group-size bounds must be >= 1")
+    return _candidate_matrix(
+        int(num_waves), int(max_first_group), int(max_last_group), int(max_exhaustive_waves)
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _candidate_matrix(
+    num_waves: int, max_first_group: int, max_last_group: int, max_exhaustive_waves: int
+) -> PartitionMatrix:
     if num_waves <= max_exhaustive_waves:
-        pruned = pruned_partitions(num_waves, max_first_group, max_last_group)
-        if pruned:
-            return pruned
-        return list(enumerate_partitions(num_waves))
-    return heuristic_partitions(num_waves, max_first_group, max_last_group)
+        arrays = _pruned_arrays(num_waves, max_first_group, max_last_group)
+    else:
+        heuristic = candidate_partitions_matrix(
+            heuristic_partitions(num_waves, max_first_group, max_last_group)
+        )
+        arrays = (heuristic.sizes, heuristic.counts, heuristic.boundaries)
+    dtype = np.min_scalar_type(num_waves)
+    frozen = []
+    for array in arrays:
+        array = array.astype(dtype)
+        array.flags.writeable = False
+        frozen.append(array)
+    return PartitionMatrix(*frozen)
+
+
+def _pruned_arrays(
+    num_waves: int, max_first_group: int, max_last_group: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sizes, counts, boundaries)`` of the pruned space, straight from bitmasks.
+
+    Bit ``i`` of a mask closes a group after wave ``i``; the last wave always
+    closes one.  ``frexp``'s exponent is the bit length, so that of the lowest
+    set bit is the first group's size and that of the mask is the wave count
+    before the last group (mask 0 is the single group of all ``T`` waves).
+    """
+    masks = np.arange(1 << (num_waves - 1), dtype=np.int64)
+    first = np.frexp(masks & -masks)[1]
+    first[0] = num_waves
+    last = num_waves - np.frexp(masks)[1]
+    masks = masks[(first <= max_first_group) & (last <= max_last_group)]
+    closes = np.ones((masks.size, num_waves), dtype=bool)
+    closes[:, :-1] = (masks[:, None] >> np.arange(num_waves - 1)) & 1
+    counts = closes.sum(axis=1)
+    rows, waves = np.nonzero(closes)
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    boundaries = np.full((masks.size, int(counts.max())), num_waves, dtype=np.int64)
+    boundaries[rows, slots] = waves + 1
+    return np.diff(boundaries, axis=1, prepend=0), counts, boundaries

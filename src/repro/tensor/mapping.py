@@ -11,25 +11,29 @@ analysis models it as a small extra memory-traffic term).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 
 import numpy as np
 
 
-@dataclass
 class MappingTable:
     """Bidirectional original-index <-> reordered-position table.
 
     The table is built incrementally by appending original unit indices in the
-    order in which they are packed into the communication buffer.
+    order in which they are packed into the communication buffer, or in one
+    step from a whole packing order (:meth:`from_order`).  A table built from
+    an order keeps just that array and its start position; the ``forward``
+    and position -> original dicts are built the first time something asks
+    for them.
     """
 
-    forward: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(self, forward: dict[int, int] | None = None) -> None:
+        self._order: np.ndarray | None = None
+        self._start = 0
+        self._forward = {} if forward is None else forward
         # Position -> original shadow map, kept in sync by append(): makes the
         # occupancy check and original_of() O(1) instead of scanning forward.
-        self._inverse: dict[int, int] = {pos: orig for orig, pos in self.forward.items()}
+        self._inverse = {pos: orig for orig, pos in self._forward.items()}
 
     @classmethod
     def from_order(cls, order: list[int] | np.ndarray, start: int = 0) -> "MappingTable":
@@ -38,25 +42,41 @@ class MappingTable:
         ``order[k]`` is the original index of the unit stored at reordered
         position ``start + k``.
         """
-        order = np.asarray(order, dtype=np.int64).reshape(-1)
-        if np.unique(order).size != order.size:
+        order = np.array(order, dtype=np.int64).reshape(-1)
+        ranked = np.sort(order)
+        if np.any(ranked[1:] == ranked[:-1]):
             raise ValueError("packing order lists a unit twice")
-        positions = range(start, start + order.size)
+        order.flags.writeable = False
         table = cls()
-        table.forward = dict(zip(order.tolist(), positions))
-        table._inverse = dict(zip(positions, order.tolist()))
+        table._order, table._start = order, operator.index(start)
         return table
+
+    def _dicts(self) -> tuple[dict[int, int], dict[int, int]]:
+        """``(forward, inverse)``, built from the packing order on first use."""
+        if self._order is not None:
+            originals = self._order.tolist()
+            positions = range(self._start, self._start + len(originals))
+            self._forward = dict(zip(originals, positions))
+            self._inverse = dict(zip(positions, originals))
+            self._order = None
+        return self._forward, self._inverse
+
+    @property
+    def forward(self) -> dict[int, int]:
+        """Original unit index -> reordered position."""
+        return self._dicts()[0]
 
     def append(self, original: int, position: int | None = None) -> int:
         """Record that ``original`` is packed at ``position`` (default: next slot)."""
-        if original in self.forward:
+        forward, inverse = self._dicts()
+        if original in forward:
             raise ValueError(f"unit {original} already present in mapping table")
         if position is None:
-            position = len(self.forward)
-        if position in self._inverse:
+            position = len(forward)
+        if position in inverse:
             raise ValueError(f"reordered position {position} already occupied")
-        self.forward[original] = position
-        self._inverse[position] = original
+        forward[original] = position
+        inverse[position] = original
         return position
 
     def __len__(self) -> int:
@@ -65,6 +85,14 @@ class MappingTable:
     def __contains__(self, original: int) -> bool:
         return original in self.forward
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MappingTable):
+            return NotImplemented
+        return self.forward == other.forward
+
+    def __repr__(self) -> str:
+        return f"MappingTable(forward={self.forward!r})"
+
     def position_of(self, original: int) -> int:
         """Reordered position of an original unit index."""
         return self.forward[original]
@@ -72,13 +100,13 @@ class MappingTable:
     def original_of(self, position: int) -> int:
         """Original unit index stored at a reordered position (O(1))."""
         try:
-            return self._inverse[position]
+            return self._dicts()[1][position]
         except KeyError:
             raise KeyError(f"no unit at reordered position {position}") from None
 
     def inverse(self) -> dict[int, int]:
         """Return the position -> original mapping as a dict."""
-        return dict(self._inverse)
+        return dict(self._dicts()[1])
 
     def as_permutation(self) -> np.ndarray:
         """Return ``perm`` with ``perm[position] = original``.
@@ -89,7 +117,7 @@ class MappingTable:
         count = len(self)
         perm = np.empty(count, dtype=np.int64)
         covered = 0
-        for position, original in self._inverse.items():
+        for position, original in self._dicts()[1].items():
             if 0 <= position < count:
                 perm[position] = original
                 covered += 1

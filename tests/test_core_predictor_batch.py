@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from reference.tuner import predictive_tune
+from reference.wave_grouping import candidate_partitions
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
@@ -20,11 +21,7 @@ from repro.core.predictor import (
     profile_cache_info,
 )
 from repro.core.tuner import PredictiveTuner
-from repro.core.wave_grouping import (
-    WavePartition,
-    candidate_partitions,
-    candidate_partitions_matrix,
-)
+from repro.core.wave_grouping import WavePartition, candidate_partitions_matrix
 from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
 

@@ -43,8 +43,9 @@ class TestPredictiveTuner:
 
     def test_candidates_respect_bounds_for_small_waves(self, settings):
         candidates = PredictiveTuner(settings).candidates(10)
-        assert all(p.first_group <= settings.max_first_group for p in candidates)
-        assert all(p.last_group <= settings.max_last_group for p in candidates)
+        rows = range(candidates.num_candidates)
+        assert all(candidates.partition(r).first_group <= settings.max_first_group for r in rows)
+        assert all(candidates.partition(r).last_group <= settings.max_last_group for r in rows)
 
 
 class TestExhaustiveTuner:

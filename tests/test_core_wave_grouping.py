@@ -2,14 +2,17 @@
 
 import pytest
 
+from reference.wave_grouping import enumerate_partitions
 from repro.core.wave_grouping import (
     WavePartition,
-    candidate_partitions,
+    candidate_matrix,
     design_space_size,
-    enumerate_partitions,
     heuristic_partitions,
-    pruned_partitions,
 )
+
+
+def _partitions(matrix):
+    return [matrix.partition(row) for row in range(matrix.num_candidates)]
 
 
 class TestWavePartition:
@@ -92,7 +95,7 @@ class TestDesignSpace:
             list(enumerate_partitions(0))
 
     def test_pruning_bounds_first_and_last_groups(self):
-        pruned = pruned_partitions(8, max_first_group=2, max_last_group=4)
+        pruned = _partitions(candidate_matrix(8, 2, 4, max_exhaustive_waves=14))
         assert pruned
         assert all(p.first_group <= 2 and p.last_group <= 4 for p in pruned)
         assert len(pruned) < design_space_size(8)
@@ -100,8 +103,8 @@ class TestDesignSpace:
     def test_pruning_shrinks_with_tighter_bounds(self):
         # Sec. 4.1.4: constraining the first/last group sizes prunes the space.
         full = design_space_size(10)
-        loose = len(pruned_partitions(10, 2, 4))
-        tight = len(pruned_partitions(10, 1, 1))
+        loose = candidate_matrix(10, 2, 4, 14).num_candidates
+        tight = candidate_matrix(10, 1, 1, 14).num_candidates
         assert tight < loose < full
 
 
@@ -113,12 +116,12 @@ class TestHeuristicCandidates:
         assert all(c.num_waves == 30 for c in candidates)
         assert len(candidates) >= 10
 
-    def test_candidate_partitions_switches_family(self):
-        small = candidate_partitions(8, 2, 4, max_exhaustive_waves=14)
-        large = candidate_partitions(40, 2, 4, max_exhaustive_waves=14)
+    def test_candidate_matrix_switches_family(self):
+        small = _partitions(candidate_matrix(8, 2, 4, max_exhaustive_waves=14))
+        large = _partitions(candidate_matrix(40, 2, 4, max_exhaustive_waves=14))
         assert all(p.first_group <= 2 for p in small)
         assert len(large) < 200
         assert all(p.num_waves == 40 for p in large)
 
-    def test_candidate_partitions_single_wave(self):
-        assert [p.group_sizes for p in candidate_partitions(1, 2, 4, 14)] == [(1,)]
+    def test_candidate_matrix_single_wave(self):
+        assert [p.group_sizes for p in _partitions(candidate_matrix(1, 2, 4, 14))] == [(1,)]

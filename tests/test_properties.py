@@ -4,12 +4,13 @@ import numpy as np
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from reference.wave_grouping import enumerate_partitions
 from repro.comm.collectives import all_reduce, reduce_scatter_flat
 from repro.comm.primitives import CollectiveKind
 from repro.comm.ring import ring_all_reduce
 from repro.core.reordering import build_reorder_plan, run_allreduce_pipeline
 from repro.core.signaling import GroupAssignment
-from repro.core.wave_grouping import WavePartition, enumerate_partitions
+from repro.core.wave_grouping import WavePartition
 from repro.gpu.swizzle import execution_order, wave_partition
 from repro.tensor.layout import TileLayout
 from repro.tensor.mapping import MappingTable
